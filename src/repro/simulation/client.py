@@ -16,38 +16,36 @@ complete write's quorum, of which at least ``b + 1`` are honest and report
 the written pair, while any value fabricated by the at most ``b`` Byzantine
 replicas is reported at most ``b`` times and filtered out.
 
-Two client flavours share the quorum-selection logic (and therefore consume
-identical randomness for identical histories):
+The protocol is written once and does no I/O (https://sans-io.readthedocs.io/):
+:class:`_ProtocolCore`'s ``read_protocol`` / ``write_protocol`` generators
+yield ``(quorum, request)`` and are resumed with the replies that arrived,
+keyed by server id (a missing member was silent).  Three drivers only move
+requests and replies: :class:`QuorumClient` over the synchronous network,
+:class:`AsyncQuorumClient` over the event-driven network (many of them
+interleave in one scheduler run, producing the concurrent histories
+:mod:`repro.simulation.history` checks) and
+:class:`~repro.service.client.ServiceQuorumClient` over TCP sockets.  Running
+the same generators, all three draw from the client rng in the same order
+for the same history.  :func:`vouched_pair` is the ``b + 1`` rule itself.
 
-* :class:`QuorumClient` — the blocking client over the synchronous network:
-  each ``read()``/``write()`` call runs the whole operation.  Crashed
-  replicas answer ``None`` immediately, so silence detection is free.
-* :class:`AsyncQuorumClient` — a **resumable operation state machine** over
-  the event-driven network: ``read()``/``write()`` start the operation and
-  return; replies resume it through callbacks, silence is detected by a
-  per-request timeout, and retries follow a :class:`RetryPolicy`.  Many such
-  clients interleave within one scheduler run, which is what makes
-  concurrent write/write and read/write histories (and their checking — see
-  :mod:`repro.simulation.history`) possible.
-
-Accounting (shared by both flavours, aligned with the vectorised engine):
+Accounting (aligned with the vectorised engine):
 
 * ``attempts`` in an :class:`OperationResult` is the *real* number of quorum
   probes the operation made — the timestamp/read phase's probes plus, for
   writes that lost a quorum member between the two phases, the write-phase
-  retry probes.  (Earlier versions hardcoded ``attempts=1`` on success and
-  ``2 * max_attempts`` on write-retry failure.)
+  retry probes.
 * ``successful_access_counts`` / ``attempted_access_counts`` tally per-server
   quorum accesses of successful operations and of every probe respectively,
   mirroring the engine's ``per_server_load`` / ``per_server_attempted``
   split, so the message-level and vectorised paths measure the same
-  Definition 3.8 quantity.
+  Definition 3.8 quantity.  :func:`pooled_loads` normalises them over a
+  pool of clients.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Generator, Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -57,7 +55,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.events import EventNetwork, EventScheduler
+from repro.simulation.events import EventNetwork
 from repro.simulation.messages import (
     ReadRequest,
     Timestamp,
@@ -70,7 +68,18 @@ from repro.simulation.network import SynchronousNetwork
 if TYPE_CHECKING:  # circular at runtime: history records client results
     from repro.simulation.history import HistoryRecorder
 
-__all__ = ["AsyncQuorumClient", "OperationResult", "QuorumClient", "RetryPolicy"]
+__all__ = [
+    "AsyncQuorumClient",
+    "OperationResult",
+    "QuorumClient",
+    "RetryPolicy",
+    "pooled_loads",
+    "vouched_pair",
+]
+
+#: A running protocol: yields ``(quorum, request)``, is resumed with the
+#: replies that arrived, returns the :class:`OperationResult`.
+Steps = Generator[tuple[frozenset, object], dict, "OperationResult"]
 
 
 @dataclass(frozen=True)
@@ -95,8 +104,9 @@ class OperationResult:
         timestamp/read phase's probes, plus write-phase retry probes when
         the first write broadcast lost a quorum member.
     latency:
-        Simulated time from invocation to completion (event-driven clients
-        only; ``0.0`` under the synchronous layer, where operations are
+        Time from invocation to completion on the driver's clock (simulated
+        time for event-driven clients, wall-clock seconds for the service
+        client; ``0.0`` under the synchronous layer, where operations are
         instantaneous).
     """
 
@@ -110,22 +120,23 @@ class OperationResult:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How an event-driven client waits and retries.
+    """How a client waits and retries.
 
     Attributes
     ----------
     max_attempts:
         Quorum probes per probing phase before the operation is declared
-        failed (unavailability), matching the synchronous client's knob.
+        failed (unavailability).
     request_timeout:
-        Simulated time a probe waits for the slowest quorum member before
-        declaring the silent members suspected and moving to another quorum.
+        How long a probe waits for the slowest quorum member before
+        declaring the silent members suspected and moving to another quorum
+        (simulated time for event-driven clients, seconds for the service
+        client; the synchronous layer detects silence at once).
     retry_unvouched_reads:
         When a read finds no pair vouched by ``b + 1`` replicas (possible
         under concurrency with an interleaved write), retry the read phase
         at a fresh quorum instead of reporting an unsuccessful read.  Off by
-        default — the synchronous client reports the failure, and the
-        zero-latency agreement guarantee relies on matching it.
+        default, which is what the synchronous client always uses.
     """
 
     max_attempts: int = 10
@@ -141,12 +152,53 @@ class RetryPolicy:
             )
 
 
-class _QuorumSelectionBase:
-    """Quorum sampling, suspicion steering and access accounting.
+def vouched_pair(
+    pairs: Iterable[ValueTimestampPair], b: int
+) -> ValueTimestampPair | None:
+    """The highest-timestamp pair reported at least ``b + 1`` times, or ``None``.
 
-    Shared by the synchronous and event-driven clients so that both flavours
-    draw from the client rng in exactly the same order for the same history —
-    the zero-latency agreement test depends on this.
+    The masking read rule: at most ``b`` Byzantine sources can report a
+    fabricated pair at most ``b`` times, so every pair that reaches ``b + 1``
+    reports is vouched for by an honest one.
+    """
+    votes = Counter(pairs)
+    return max(
+        (pair for pair, count in votes.items() if count > b),
+        key=lambda pair: pair.timestamp,
+        default=None,
+    )
+
+
+def pooled_loads(clients: Sequence, universe: Iterable) -> tuple[dict, dict]:
+    """Per-server ``(load, attempted)`` rates summed over a pool of clients.
+
+    ``load`` is the empirical load of Definition 3.8: accesses by successful
+    operations over successful operations, never above 1 (the engine's
+    ``per_server_load``).  ``attempted`` counts every probe, failed
+    operations included, over every started operation; it may exceed 1
+    under heavy faults (the engine's ``per_server_attempted``).
+    """
+    successful = max(1, sum(client.successful_operations for client in clients))
+    started = max(1, sum(client.operations_started for client in clients))
+    load = {
+        server_id: sum(client.successful_access_counts[server_id] for client in clients)
+        / successful
+        for server_id in universe
+    }
+    attempted = {
+        server_id: sum(client.attempted_access_counts[server_id] for client in clients)
+        / started
+        for server_id in universe
+    }
+    return load, attempted
+
+
+class _ProtocolCore:
+    """The read and write protocols and all the state a client keeps.
+
+    Subclasses are drivers: they send each yielded request to every member
+    of the yielded quorum, resume the generator with the replies, and
+    override :meth:`_now` with their clock.
     """
 
     def __init__(
@@ -155,16 +207,20 @@ class _QuorumSelectionBase:
         system: QuorumSystem,
         *,
         b: int,
+        policy: RetryPolicy | None,
         rng: np.random.Generator | None,
         strategy: Strategy | None,
+        history: "HistoryRecorder | None" = None,
     ):
         if b < 0:
             raise SimulationError(f"masking parameter must be >= 0, got {b}")
         self.client_id = client_id
         self.system = system
         self.b = b
+        self.policy = policy if policy is not None else RetryPolicy()
         self.rng = ensure_rng(rng)
         self.strategy = strategy
+        self.history = history
         #: The largest timestamp this client has observed or produced.
         self.last_timestamp = Timestamp.zero()
         #: Servers observed to be unresponsive; used as a simple failure
@@ -179,6 +235,13 @@ class _QuorumSelectionBase:
         #: Operations completed successfully / started, for normalisation.
         self.successful_operations = 0
         self.operations_started = 0
+        #: Probes that found a silent quorum member (diagnostic).
+        self.timeouts = 0
+        self._busy = False
+
+    def _now(self) -> float:
+        """The driver's clock; the synchronous layer has none."""
+        return 0.0
 
     def _choose_quorum(self) -> frozenset:
         """Sample a quorum, preferring one that avoids all suspected servers."""
@@ -204,10 +267,6 @@ class _QuorumSelectionBase:
             quorum = self.strategy.sample(self.rng)
         return quorum
 
-    def _record_success(self, quorum: frozenset) -> None:
-        self.successful_operations += 1
-        self.successful_access_counts.update(quorum)
-
     def _fresh_timestamp(self, replies: dict) -> Timestamp:
         """Pick a timestamp strictly larger than every answer and all past picks.
 
@@ -224,8 +283,139 @@ class _QuorumSelectionBase:
         self.last_timestamp = fresh
         return fresh
 
+    # ------------------------------------------------------------------
+    # The protocols.
+    # ------------------------------------------------------------------
+    def write_protocol(self, value: object) -> Steps:
+        """Write ``value``: query a quorum for timestamps, then install."""
+        invoked_at = self._start()
+        quorum, replies, attempts = yield from self._probe(
+            TimestampRequest(client_id=self.client_id)
+        )
+        if quorum is None:
+            return self._finish("write", invoked_at, success=False, attempts=attempts)
 
-class QuorumClient(_QuorumSelectionBase):
+        timestamp = self._fresh_timestamp(replies)
+        pair = ValueTimestampPair(value=value, timestamp=timestamp)
+        request = WriteRequest(client_id=self.client_id, pair=pair)
+        if not self._settle(quorum, (yield quorum, request)):
+            # The quorum answered the timestamp query but lost a member before
+            # the install; retry the install through fresh quorums.
+            quorum, _replies, retry_attempts = yield from self._probe(request)
+            attempts += retry_attempts
+            if quorum is None:
+                return self._finish("write", invoked_at, pair, success=False, attempts=attempts)
+        return self._finish(
+            "write",
+            invoked_at,
+            pair,
+            success=True,
+            value=value,
+            timestamp=timestamp,
+            quorum=quorum,
+            attempts=attempts,
+        )
+
+    def read_protocol(self) -> Steps:
+        """Read the register, masking up to ``b`` Byzantine replies."""
+        invoked_at = self._start()
+        request = ReadRequest(client_id=self.client_id)
+        attempts = 0
+        while True:
+            quorum, replies, probes = yield from self._probe(request)
+            attempts += probes
+            if quorum is None:
+                return self._finish("read", invoked_at, success=False, attempts=attempts)
+            best = vouched_pair((reply.pair for reply in replies.values()), self.b)
+            if best is not None:
+                break
+            # An interleaved write can split the votes below b + 1; the retry
+            # policy decides whether to try a fresh quorum or report the
+            # unsuccessful read rather than return an unvouched value.
+            if not self.policy.retry_unvouched_reads or attempts >= self.policy.max_attempts:
+                return self._finish(
+                    "read", invoked_at, success=False, quorum=quorum, attempts=attempts
+                )
+        if best.timestamp > self.last_timestamp:
+            self.last_timestamp = best.timestamp
+        return self._finish(
+            "read",
+            invoked_at,
+            success=True,
+            value=best.value,
+            timestamp=best.timestamp,
+            quorum=quorum,
+            attempts=attempts,
+        )
+
+    # ------------------------------------------------------------------
+    # Shared by both protocols.
+    # ------------------------------------------------------------------
+    def _start(self) -> float:
+        if self._busy:
+            raise SimulationError(
+                f"client {self.client_id} already has an operation in flight; "
+                "a register client is a single sequential process"
+            )
+        self._busy = True
+        self.operations_started += 1
+        return self._now()
+
+    def _probe(self, request: object):
+        """Try up to ``max_attempts`` quorums until one answers in full.
+
+        Returns ``(quorum, replies, attempts)`` with the real probe count, or
+        ``(None, None, max_attempts)`` when the budget is exhausted.
+        """
+        for attempt in range(1, self.policy.max_attempts + 1):
+            quorum = self._choose_quorum()
+            self.attempted_access_counts.update(quorum)
+            replies = yield quorum, request
+            if self._settle(quorum, replies):
+                return quorum, replies, attempt
+        return None, None, self.policy.max_attempts
+
+    def _settle(self, quorum: frozenset, replies: dict) -> bool:
+        """Feed one phase's replies to the failure detector; all answered?
+
+        An answer exonerates: suspicion from lost messages or a crash window
+        that has since ended must not permanently remove a correct server
+        from quorum selection.  Silent members join :attr:`suspected` before
+        the next quorum is drawn.
+        """
+        self.suspected.difference_update(replies)
+        if len(replies) == len(quorum):
+            return True
+        self.timeouts += 1
+        self.suspected |= quorum - replies.keys()
+        return False
+
+    def _finish(
+        self,
+        kind: str,
+        invoked_at: float,
+        attempted_pair: ValueTimestampPair | None = None,
+        **fields,
+    ) -> OperationResult:
+        responded_at = self._now()
+        result = OperationResult(latency=responded_at - invoked_at, **fields)
+        self._busy = False
+        if result.success:
+            self.successful_operations += 1
+            self.successful_access_counts.update(result.quorum)
+        if self.history is not None:
+            self.history.record(
+                client_id=self.client_id,
+                kind=kind,
+                invoked_at=invoked_at,
+                responded_at=responded_at,
+                result=result,
+                attempted_pair=attempted_pair,
+            )
+        return result
+
+
+class QuorumClient(_ProtocolCore):
     """A blocking client of the replicated register (synchronous network).
 
     Parameters
@@ -263,134 +453,41 @@ class QuorumClient(_QuorumSelectionBase):
         rng: np.random.Generator | None = None,
         strategy: Strategy | None = None,
     ):
-        super().__init__(client_id, system, b=b, rng=rng, strategy=strategy)
-        if max_attempts < 1:
-            raise SimulationError(f"max_attempts must be >= 1, got {max_attempts}")
+        super().__init__(
+            client_id,
+            system,
+            b=b,
+            policy=RetryPolicy(max_attempts=max_attempts),
+            rng=rng,
+            strategy=strategy,
+        )
         self.network = network
-        self.max_attempts = max_attempts
 
-    # ------------------------------------------------------------------
-    # Quorum probing.
-    # ------------------------------------------------------------------
-    def _collect_from_quorum(self, quorum: frozenset, request: object) -> dict | None:
-        """Send ``request`` to every member of ``quorum``.
+    def _drive(self, protocol: Steps) -> OperationResult:
+        replies = None
+        while True:
+            try:
+                quorum, request = protocol.send(replies)
+            except StopIteration as done:
+                return done.value
+            answers = self.network.broadcast(quorum, request)
+            replies = {
+                server_id: reply
+                for server_id, reply in answers.items()
+                if reply is not None
+            }
 
-        Returns the replies keyed by server id, or ``None`` when some member
-        did not answer (the quorum is unavailable and another must be tried).
-        Unresponsive members are recorded in :attr:`suspected`.
-        """
-        replies = self.network.broadcast(quorum, request)
-        silent = {server_id for server_id, reply in replies.items() if reply is None}
-        if silent:
-            self.suspected |= silent
-            return None
-        return replies
-
-    def _probe(self, request_factory) -> tuple[frozenset | None, dict | None, int]:
-        """Try up to ``max_attempts`` quorums; return the first responsive one.
-
-        Returns ``(quorum, replies, attempts)`` with the real probe count, or
-        ``(None, None, max_attempts)`` when the budget is exhausted.
-        """
-        for attempt in range(1, self.max_attempts + 1):
-            quorum = self._choose_quorum()
-            self.attempted_access_counts.update(quorum)
-            replies = self._collect_from_quorum(quorum, request_factory())
-            if replies is not None:
-                return quorum, replies, attempt
-        return None, None, self.max_attempts
-
-    # ------------------------------------------------------------------
-    # Protocol operations.
-    # ------------------------------------------------------------------
     def write(self, value: object) -> OperationResult:
         """Write ``value`` to the register (query timestamps, then install)."""
-        self.operations_started += 1
-        quorum, replies, attempts = self._probe(
-            lambda: TimestampRequest(client_id=self.client_id)
-        )
-        if quorum is None:
-            return OperationResult(success=False, attempts=attempts)
-
-        new_timestamp = self._fresh_timestamp(replies)
-        pair = ValueTimestampPair(value=value, timestamp=new_timestamp)
-
-        write_replies = self._collect_from_quorum(
-            quorum, WriteRequest(client_id=self.client_id, pair=pair)
-        )
-        if write_replies is None:
-            # The quorum answered the timestamp query but lost a member before
-            # the write; retry the whole install through fresh quorums,
-            # accumulating the real probe count.
-            quorum, write_replies, retry_attempts = self._probe(
-                lambda: WriteRequest(client_id=self.client_id, pair=pair)
-            )
-            attempts += retry_attempts
-            if quorum is None:
-                return OperationResult(success=False, attempts=attempts)
-
-        self._record_success(quorum)
-        return OperationResult(
-            success=True,
-            value=value,
-            timestamp=new_timestamp,
-            quorum=quorum,
-            attempts=attempts,
-        )
+        return self._drive(self.write_protocol(value))
 
     def read(self) -> OperationResult:
         """Read the register, masking up to ``b`` Byzantine replies."""
-        self.operations_started += 1
-        quorum, replies, attempts = self._probe(
-            lambda: ReadRequest(client_id=self.client_id)
-        )
-        if quorum is None:
-            return OperationResult(success=False, attempts=attempts)
-
-        # Count how many replicas vouch for each (value, timestamp) pair and
-        # keep the pairs vouched for by at least b + 1 replicas.
-        votes: Counter = Counter(reply.pair for reply in replies.values())
-        vouched = [pair for pair, count in votes.items() if count >= self.b + 1]
-        if not vouched:
-            # Possible only under concurrency or mis-configuration; report an
-            # unsuccessful read rather than returning an unvouched value.
-            return OperationResult(success=False, quorum=quorum, attempts=attempts)
-
-        best = max(vouched, key=lambda pair: pair.timestamp)
-        if best.timestamp > self.last_timestamp:
-            self.last_timestamp = best.timestamp
-        self._record_success(quorum)
-        return OperationResult(
-            success=True,
-            value=best.value,
-            timestamp=best.timestamp,
-            quorum=quorum,
-            attempts=attempts,
-        )
+        return self._drive(self.read_protocol())
 
 
-# ----------------------------------------------------------------------
-# The event-driven client.
-# ----------------------------------------------------------------------
-class _ProbeState:
-    """One in-flight quorum probe of an async operation.
-
-    Collects replies keyed by server id (duplicate deliveries collapse) until
-    the quorum is complete or the timeout fires; ``done`` guards against
-    late replies resuming an abandoned probe.
-    """
-
-    __slots__ = ("quorum", "replies", "done", "timeout_event")
-
-    def __init__(self, quorum: frozenset):
-        self.quorum = quorum
-        self.replies: dict = {}
-        self.done = False
-        self.timeout_event = None
-
-
-class AsyncQuorumClient(_QuorumSelectionBase):
-    """A resumable state-machine client over the event-driven network.
+class AsyncQuorumClient(_ProtocolCore):
+    """A resumable client over the event-driven network.
 
     ``read``/``write`` start the operation and return immediately; the
     operation advances as replies arrive through the scheduler and completes
@@ -424,281 +521,70 @@ class AsyncQuorumClient(_QuorumSelectionBase):
         strategy: Strategy | None = None,
         history: "HistoryRecorder | None" = None,
     ):
-        super().__init__(client_id, system, b=b, rng=rng, strategy=strategy)
+        super().__init__(
+            client_id,
+            system,
+            b=b,
+            policy=policy,
+            rng=rng,
+            strategy=strategy,
+            history=history,
+        )
         self.network = network
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.history = history
-        #: Probes that ran into their request timeout (diagnostic).
-        self.timeouts = 0
-        self._busy = False
 
-    @property
-    def scheduler(self) -> EventScheduler:
-        return self.network.scheduler
+    def _now(self) -> float:
+        return self.network.scheduler.now
 
-    # ------------------------------------------------------------------
-    # Probing as a resumable state machine.
-    # ------------------------------------------------------------------
-    def _start_probe(
+    def _drive(
         self,
-        request_factory: Callable[[], object],
-        on_success: Callable[[frozenset, dict, int], None],
-        on_exhausted: Callable[[int], None],
-        *,
-        attempt: int = 0,
-    ) -> None:
-        """Probe quorums until one answers in full or the budget runs out.
-
-        ``on_success(quorum, replies, attempts)`` resumes the operation;
-        ``on_exhausted(attempts)`` reports unavailability.  Each probe arms a
-        timeout; silent members observed at the timeout join ``suspected``
-        before the next quorum is drawn, mirroring the synchronous client.
-        """
-        if attempt >= self.policy.max_attempts:
-            on_exhausted(self.policy.max_attempts)
-            return
-        quorum = self._choose_quorum()
-        self.attempted_access_counts.update(quorum)
-        probe = _ProbeState(quorum)
-        request = request_factory()
-
-        def on_reply(server_id, reply) -> None:
-            if probe.done or server_id in probe.replies:
-                return
-            # An answer exonerates: suspicion from lost messages or a crash
-            # window that has since ended must not permanently remove a
-            # correct server from quorum selection.
-            self.suspected.discard(server_id)
-            probe.replies[server_id] = reply
-            if len(probe.replies) == len(probe.quorum):
-                probe.done = True
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
-                on_success(probe.quorum, probe.replies, attempt + 1)
-
-        def on_timeout() -> None:
-            if probe.done:
-                return
-            probe.done = True
-            self.timeouts += 1
-            self.suspected |= probe.quorum - probe.replies.keys()
-            self._start_probe(
-                request_factory, on_success, on_exhausted, attempt=attempt + 1
-            )
-
-        self.network.broadcast(quorum, request, on_reply)
-        probe.timeout_event = self.scheduler.schedule(
-            self.policy.request_timeout, on_timeout
-        )
-
-    def _collect_once(
-        self,
-        quorum: frozenset,
-        request: object,
-        on_all: Callable[[dict], None],
-        on_partial: Callable[[], None],
-    ) -> None:
-        """Broadcast to a fixed quorum once; succeed only on a full reply set."""
-        probe = _ProbeState(quorum)
-
-        def on_reply(server_id, reply) -> None:
-            if probe.done or server_id in probe.replies:
-                return
-            self.suspected.discard(server_id)
-            probe.replies[server_id] = reply
-            if len(probe.replies) == len(probe.quorum):
-                probe.done = True
-                if probe.timeout_event is not None:
-                    probe.timeout_event.cancel()
-                on_all(probe.replies)
-
-        def on_timeout() -> None:
-            if probe.done:
-                return
-            probe.done = True
-            self.timeouts += 1
-            self.suspected |= probe.quorum - probe.replies.keys()
-            on_partial()
-
-        self.network.broadcast(quorum, request, on_reply)
-        probe.timeout_event = self.scheduler.schedule(
-            self.policy.request_timeout, on_timeout
-        )
-
-    # ------------------------------------------------------------------
-    # Operation lifecycle helpers.
-    # ------------------------------------------------------------------
-    def _begin(self) -> float:
-        if self._busy:
-            raise SimulationError(
-                f"client {self.client_id} already has an operation in flight; "
-                "a register client is a single sequential process"
-            )
-        self._busy = True
-        self.operations_started += 1
-        return self.scheduler.now
-
-    def _complete(
-        self,
-        kind: str,
-        invoked_at: float,
-        result: OperationResult,
+        protocol: Steps,
         on_complete: Callable[[OperationResult], None] | None,
-        *,
-        attempted_pair: ValueTimestampPair | None = None,
     ) -> None:
-        self._busy = False
-        if result.success:
-            self._record_success(result.quorum)
-        if self.history is not None:
-            self.history.record(
-                client_id=self.client_id,
-                kind=kind,
-                invoked_at=invoked_at,
-                responded_at=self.scheduler.now,
-                result=result,
-                attempted_pair=attempted_pair,
-            )
-        if on_complete is not None:
-            on_complete(result)
+        """Run ``protocol`` one phase per broadcast, resuming from callbacks.
 
-    # ------------------------------------------------------------------
-    # Protocol operations (resumable).
-    # ------------------------------------------------------------------
+        Each phase collects replies by server id (duplicate deliveries
+        collapse) until the quorum is complete, or until its one timeout
+        fires and the partial set goes back to the protocol.
+        """
+        network = self.network
+        scheduler = network.scheduler
+        request_timeout = self.policy.request_timeout
+
+        def advance(replies: dict | None) -> None:
+            try:
+                quorum, request = protocol.send(replies)
+            except StopIteration as done:
+                if on_complete is not None:
+                    on_complete(done.value)
+                return
+            collected: dict = {}
+
+            def on_reply(server_id, reply) -> None:
+                if timeout.cancelled or server_id in collected:
+                    return
+                collected[server_id] = reply
+                if len(collected) == len(quorum):
+                    timeout.cancel()
+                    advance(collected)
+
+            def on_timeout() -> None:
+                # Marked cancelled so that late replies find the phase closed.
+                timeout.cancel()
+                advance(collected)
+
+            network.broadcast(quorum, request, on_reply)
+            timeout = scheduler.schedule(request_timeout, on_timeout)
+
+        advance(None)
+
     def write(
         self, value: object, on_complete: Callable[[OperationResult], None] | None = None
     ) -> None:
         """Start writing ``value``; completion arrives through ``on_complete``."""
-        invoked_at = self._begin()
-
-        def ts_phase_done(quorum: frozenset, replies: dict, attempts: int) -> None:
-            new_timestamp = self._fresh_timestamp(replies)
-            pair = ValueTimestampPair(value=value, timestamp=new_timestamp)
-            request = WriteRequest(client_id=self.client_id, pair=pair)
-
-            def installed(write_quorum: frozenset, attempts_total: int) -> None:
-                self._complete(
-                    "write",
-                    invoked_at,
-                    OperationResult(
-                        success=True,
-                        value=value,
-                        timestamp=new_timestamp,
-                        quorum=write_quorum,
-                        attempts=attempts_total,
-                        latency=self.scheduler.now - invoked_at,
-                    ),
-                    on_complete,
-                    attempted_pair=pair,
-                )
-
-            def retry_install() -> None:
-                # The quorum answered the timestamp query but lost a member
-                # before the write; retry the install through fresh quorums.
-                self._start_probe(
-                    lambda: request,
-                    lambda write_quorum, _replies, retry_attempts: installed(
-                        write_quorum, attempts + retry_attempts
-                    ),
-                    lambda retry_attempts: self._complete(
-                        "write",
-                        invoked_at,
-                        OperationResult(
-                            success=False,
-                            attempts=attempts + retry_attempts,
-                            latency=self.scheduler.now - invoked_at,
-                        ),
-                        on_complete,
-                        attempted_pair=pair,
-                    ),
-                )
-
-            self._collect_once(
-                quorum, request, lambda _replies: installed(quorum, attempts), retry_install
-            )
-
-        self._start_probe(
-            lambda: TimestampRequest(client_id=self.client_id),
-            ts_phase_done,
-            lambda attempts: self._complete(
-                "write",
-                invoked_at,
-                OperationResult(
-                    success=False,
-                    attempts=attempts,
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            ),
-        )
+        self._drive(self.write_protocol(value), on_complete)
 
     def read(
         self, on_complete: Callable[[OperationResult], None] | None = None
     ) -> None:
         """Start a read; completion arrives through ``on_complete``."""
-        invoked_at = self._begin()
-        state = {"attempts": 0}
-
-        def read_phase_done(quorum: frozenset, replies: dict, attempts: int) -> None:
-            state["attempts"] += attempts
-            votes: Counter = Counter(reply.pair for reply in replies.values())
-            vouched = [pair for pair, count in votes.items() if count >= self.b + 1]
-            if not vouched:
-                # Under concurrency an interleaved write can split the vouch
-                # counts below b + 1; the retry policy decides whether to try
-                # again at a fresh quorum or report the unsuccessful read.
-                if (
-                    self.policy.retry_unvouched_reads
-                    and state["attempts"] < self.policy.max_attempts
-                ):
-                    self._start_probe(
-                        lambda: ReadRequest(client_id=self.client_id),
-                        read_phase_done,
-                        exhausted,
-                    )
-                    return
-                self._complete(
-                    "read",
-                    invoked_at,
-                    OperationResult(
-                        success=False,
-                        quorum=quorum,
-                        attempts=state["attempts"],
-                        latency=self.scheduler.now - invoked_at,
-                    ),
-                    on_complete,
-                )
-                return
-            best = max(vouched, key=lambda pair: pair.timestamp)
-            if best.timestamp > self.last_timestamp:
-                self.last_timestamp = best.timestamp
-            self._complete(
-                "read",
-                invoked_at,
-                OperationResult(
-                    success=True,
-                    value=best.value,
-                    timestamp=best.timestamp,
-                    quorum=quorum,
-                    attempts=state["attempts"],
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            )
-
-        def exhausted(attempts: int) -> None:
-            state["attempts"] += attempts
-            self._complete(
-                "read",
-                invoked_at,
-                OperationResult(
-                    success=False,
-                    attempts=state["attempts"],
-                    latency=self.scheduler.now - invoked_at,
-                ),
-                on_complete,
-            )
-
-        self._start_probe(
-            lambda: ReadRequest(client_id=self.client_id), read_phase_done, exhausted
-        )
+        self._drive(self.read_protocol(), on_complete)

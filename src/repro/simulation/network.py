@@ -78,12 +78,6 @@ class SynchronousNetwork:
         """Requests actually handled by each (responsive) server."""
         return self._events.delivered_counts
 
-    #: Backwards-compatible alias: the pre-split ``delivery_counts`` counted
-    #: every send, which is the *attempted* tally under the new names.
-    @property
-    def delivery_counts(self) -> dict[Hashable, int]:
-        return self._events.attempted_counts
-
     def send(self, server_id: Hashable, request: object) -> object | None:
         """Deliver ``request`` to one replica and return its response.
 

@@ -31,7 +31,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import AsyncQuorumClient, RetryPolicy
+from repro.simulation.client import AsyncQuorumClient, RetryPolicy, pooled_loads
 from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
 from repro.simulation.events import (
     EventNetwork,
@@ -325,17 +325,7 @@ def run_event_workload(
         [record.responded_at - record.invoked_at for record in successful]
     )
     universe = system.universe
-    total_success = max(1, len(successful))
-    per_server_load = {
-        server_id: sum(client.successful_access_counts[server_id] for client in clients)
-        / total_success
-        for server_id in universe
-    }
-    per_server_attempted = {
-        server_id: sum(client.attempted_access_counts[server_id] for client in clients)
-        / max(1, num_operations)
-        for server_id in universe
-    }
+    per_server_load, per_server_attempted = pooled_loads(clients, universe)
     per_server_messages = {
         server_id: network.attempted_counts[server_id] / max(1, num_operations)
         for server_id in universe
@@ -392,7 +382,6 @@ def run_workload(
     *,
     b: int,
     num_operations: int = 200,
-    num_clients: int = 4,
     scenario: FaultScenario | WorkloadScenario | None = None,
     byzantine_behaviour: str = "fabricate-timestamp",
     rng: np.random.Generator | None = None,
@@ -412,10 +401,6 @@ def run_workload(
         Masking parameter used by the read protocol.
     num_operations:
         Total operations across all clients.
-    num_clients:
-        Accepted and ignored for API compatibility (the legacy runner's
-        ``max(1, num_clients)`` tolerance included); the engine's accounting
-        is client-count independent.
     scenario:
         Fault scenario — static or phased (fault-free by default).
     byzantine_behaviour:
@@ -439,7 +424,6 @@ def run_workload(
         reference path with identical semantics and, for a given rng state,
         bit-for-bit identical results.
     """
-    del num_clients  # legacy parameter; the engine's accounting is client-agnostic
     byzantine_model: str | None = None
     if not isinstance(scenario, WorkloadScenario):
         byzantine_model = _byzantine_model_for(byzantine_behaviour)

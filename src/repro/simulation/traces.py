@@ -42,7 +42,7 @@ from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
-from repro.simulation.client import AsyncQuorumClient, RetryPolicy
+from repro.simulation.client import AsyncQuorumClient, RetryPolicy, pooled_loads
 from repro.simulation.engine import resolve_strategy
 from repro.simulation.events import (
     EventNetwork,
@@ -369,17 +369,7 @@ def run_trace_workload(
     check = recorder.check()
     total_operations = len(records)
     successful = [record for record in records if record.success]
-    total_success = max(1, len(successful))
-    per_server_load = {
-        server_id: sum(client.successful_access_counts[server_id] for client in clients)
-        / total_success
-        for server_id in universe
-    }
-    per_server_attempted = {
-        server_id: sum(client.attempted_access_counts[server_id] for client in clients)
-        / max(1, total_operations)
-        for server_id in universe
-    }
+    per_server_load, per_server_attempted = pooled_loads(clients, universe)
     per_server_messages = {
         server_id: network.attempted_counts[server_id] / max(1, total_operations)
         for server_id in universe

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import socket
 
+import numpy as np
 import pytest
 
 from repro.analysis import recovery_conformance, service_conformance
@@ -26,8 +27,15 @@ from repro.service import (
     ServiceQuorumClient,
     run_load,
 )
-from repro.exceptions import ServiceError
-from repro.simulation.client import RetryPolicy
+from repro.exceptions import ServiceError, SimulationError
+from repro.simulation import (
+    AsyncQuorumClient,
+    EventNetwork,
+    EventScheduler,
+    FaultScenario,
+    build_replicas,
+)
+from repro.simulation.client import OperationResult, RetryPolicy
 from repro.simulation.history import check_register_history
 
 OPS = 160
@@ -330,3 +338,119 @@ def test_single_client_sequential_semantics(cluster_factory):
             await client.close()
 
     asyncio.run(scenario())
+
+
+def _unused_endpoints(system) -> dict:
+    """An endpoint per universe member on a port nothing listens on."""
+    endpoints = {}
+    for element in system.universe:
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+            endpoints[element] = sock.getsockname()
+    return endpoints
+
+
+def test_one_client_refuses_overlapping_operations():
+    """A client is one sequential process; a second overlapping call is refused
+    up front instead of sharing the pooled streams with the first."""
+    system, b = ClusterSpec(THRESHOLD_5).resolve()
+    client = ServiceQuorumClient(
+        0, system, _unused_endpoints(system), b=b,
+        policy=RetryPolicy(max_attempts=1, request_timeout=1.0),
+    )
+
+    async def scenario():
+        try:
+            return await asyncio.gather(
+                client.write(("v", 0)), client.write(("v", 1)), return_exceptions=True
+            )
+        finally:
+            await client.close()
+
+    first, second = asyncio.run(scenario())
+    assert isinstance(first, OperationResult) and not first.success
+    assert isinstance(second, SimulationError)
+    assert client.operations_started == 1
+
+
+def test_cancelled_operation_frees_the_client():
+    system, b = ClusterSpec(THRESHOLD_5).resolve()
+
+    async def scenario():
+        held = []
+
+        async def never_answer(reader, writer):
+            held.append(writer)  # keep the connection open, reply nothing
+            await reader.read()
+
+        server = await asyncio.start_server(never_answer, "127.0.0.1", 0)
+        address = server.sockets[0].getsockname()
+        client = ServiceQuorumClient(
+            0, system, {element: address for element in system.universe}, b=b,
+            policy=RetryPolicy(max_attempts=1, request_timeout=30.0),
+        )
+        try:
+            # The second read starts (and times out) instead of being
+            # refused as overlapping the cancelled first one.
+            for _ in range(2):
+                with pytest.raises(asyncio.TimeoutError):
+                    await asyncio.wait_for(client.read(), 0.2)
+        finally:
+            await client.close()
+            for writer in held:
+                writer.close()
+            server.close()
+            await server.wait_closed()
+        return client
+
+    assert asyncio.run(scenario()).operations_started == 2
+
+
+def test_live_client_agrees_op_for_op_with_the_simulated_one(cluster_factory):
+    """The same client seed and script give identical results over sockets
+    and over a zero-latency event network: one protocol core, two drivers."""
+    cluster = cluster_factory(ClusterSpec(THRESHOLD_5))
+    script_rng = np.random.default_rng(12)
+    script = [
+        f"value-{index}" if script_rng.random() < 0.5 else None for index in range(40)
+    ]
+    policy = RetryPolicy(request_timeout=10.0)
+
+    async def live():
+        client = ServiceQuorumClient(
+            0, cluster.system, cluster.endpoints(), b=cluster.b,
+            policy=policy, rng=np.random.default_rng(5),
+        )
+        try:
+            return [
+                await (client.read() if value is None else client.write(value))
+                for value in script
+            ]
+        finally:
+            await client.close()
+
+    scheduler = EventScheduler()
+    network = EventNetwork(
+        build_replicas(cluster.system, frozenset()),
+        FaultScenario.fault_free(),
+        scheduler=scheduler,
+    )
+    simulated_client = AsyncQuorumClient(
+        0, cluster.system, network, b=cluster.b,
+        policy=policy, rng=np.random.default_rng(5),
+    )
+    simulated = []
+    for value in script:
+        if value is None:
+            simulated_client.read(simulated.append)
+        else:
+            simulated_client.write(value, simulated.append)
+        scheduler.run()
+
+    def fields(result):
+        return (result.success, result.value, result.timestamp, result.quorum, result.attempts)
+
+    assert [fields(result) for result in asyncio.run(live())] == [
+        fields(result) for result in simulated
+    ]
+    assert any(value is None for value in script) and any(script)
