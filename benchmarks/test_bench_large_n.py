@@ -32,7 +32,7 @@ from repro.analysis.asymptotics import (
     section45_comparison,
     sweep,
 )
-from repro.simulation import FaultScenario, run_event_workload, run_workload
+from repro.simulation import FaultScenario, run_event_workload, run_scenario
 
 #: Universe size of the workload-engine run (a perfect square).
 LARGE_N = int(os.environ.get("REPRO_BENCH_LARGE_N", "4096"))
@@ -128,7 +128,7 @@ def test_implicit_measures_at_ten_thousand(benchmark):
         load = analytic_load(implicit).load
         availability = analytic_failure_probability(implicit, 0.001).value
         started = time.perf_counter()
-        result = run_workload(
+        result = run_scenario(
             implicit, b=3, num_operations=2000, rng=np.random.default_rng(8)
         )
         elapsed = time.perf_counter() - started
@@ -179,7 +179,7 @@ def test_sampled_workload_crash_run_large_n(benchmark):
         implicit = ImplicitQuorumSystem(base, num_samples=32 * side, seed=42)
         strategy = implicit.sampled_optimal_strategy()
         started = time.perf_counter()
-        result = run_workload(
+        result = run_scenario(
             implicit,
             b=0,
             num_operations=8 * LARGE_N,

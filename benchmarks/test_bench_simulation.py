@@ -7,9 +7,10 @@ three execution paths:
 * the **vectorised engine** on a 10⁵-operation batch,
 * the **sequential reference** path (same semantics, per-operation Python
   loop over int bitmasks), and
-* the **message-level legacy path** (the pre-engine simulator:
-  ``ReplicatedRegister`` + ``QuorumClient`` building request/reply objects
-  per delivery), on a smaller batch extrapolated to ops/sec.
+* the **message-level path** (the pre-engine simulator: replicas from
+  ``build_replicas`` behind a ``SynchronousNetwork``, with ``QuorumClient``
+  building request/reply objects per delivery), on a smaller batch
+  extrapolated to ops/sec.
 
 The acceptance bar of the engine PR is locked in here: the vectorised engine
 must deliver at least 20× the message-level path's throughput, and must agree
@@ -25,7 +26,13 @@ import numpy as np
 from conftest import format_table
 
 from repro import MGrid
-from repro.simulation import ReplicatedRegister, run_workload
+from repro.simulation import (
+    FaultScenario,
+    QuorumClient,
+    SynchronousNetwork,
+    build_replicas,
+    run_scenario,
+)
 
 GRID_SIDE = 7
 MASKING_B = 3
@@ -34,9 +41,10 @@ MESSAGE_LEVEL_OPERATIONS = 4_000
 
 
 def _message_level_workload(system, *, b, num_operations, rng, write_fraction=0.5):
-    """The legacy per-operation driver: one message object per delivery."""
-    register = ReplicatedRegister(system, b=b, rng=rng)
-    clients = [register.client() for _ in range(4)]
+    """The per-operation path: one message object per delivery."""
+    servers = build_replicas(system, frozenset(), rng=np.random.default_rng(0))
+    network = SynchronousNetwork(servers, FaultScenario.fault_free())
+    clients = [QuorumClient(i, system, network, b=b, rng=rng) for i in range(4)]
     written = 0
     for index in range(num_operations):
         client = clients[index % len(clients)]
@@ -55,11 +63,11 @@ def test_engine_throughput_100k_operations(benchmark, rng, request):
     system = MGrid(GRID_SIDE, MASKING_B)
     # Warm the per-system caches (quorum list, incidence, strategy arrays) so
     # the timings measure the workload, not one-off setup.
-    run_workload(system, b=MASKING_B, num_operations=100, rng=np.random.default_rng(0))
+    run_scenario(system, b=MASKING_B, num_operations=100, rng=np.random.default_rng(0))
 
     def run_vectorised():
         started = time.perf_counter()
-        result = run_workload(
+        result = run_scenario(
             system,
             b=MASKING_B,
             num_operations=ENGINE_OPERATIONS,
@@ -74,12 +82,12 @@ def test_engine_throughput_100k_operations(benchmark, rng, request):
     assert result.consistency_violations == 0
 
     started = time.perf_counter()
-    sequential = run_workload(
+    sequential = run_scenario(
         system,
         b=MASKING_B,
         num_operations=ENGINE_OPERATIONS,
         rng=np.random.default_rng(20240614),
-        engine="sequential",
+        mode="sequential",
     )
     sequential_elapsed = time.perf_counter() - started
     assert sequential == result  # bit-for-bit mode agreement at benchmark scale
@@ -106,10 +114,10 @@ def test_engine_throughput_100k_operations(benchmark, rng, request):
             f"{sequential_rate:,.0f}",
             f"{sequential_rate / message_rate:.1f}x",
         ],
-        ["message-level legacy", MESSAGE_LEVEL_OPERATIONS, f"{message_rate:,.0f}", "1.0x"],
+        ["message-level", MESSAGE_LEVEL_OPERATIONS, f"{message_rate:,.0f}", "1.0x"],
     ]
     print(f"\nWorkload throughput on MGrid({GRID_SIDE}, {MASKING_B}):")
-    print(format_table(["path", "operations", "ops/sec", "vs legacy"], rows))
+    print(format_table(["path", "operations", "ops/sec", "vs message-level"], rows))
 
     if timing_enabled:
         assert speedup >= 20.0, (
@@ -129,7 +137,7 @@ def test_scenario_suite_throughput(benchmark, rng):
         for scenario in suite:
             for strategy in ("uniform", "optimal"):
                 started = time.perf_counter()
-                result = run_workload(
+                result = run_scenario(
                     system,
                     b=MASKING_B,
                     num_operations=20_000,

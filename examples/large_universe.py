@@ -24,7 +24,7 @@ from repro import (
     load_lower_bound,
 )
 from repro.analysis.asymptotics import section45_comparison
-from repro.simulation import FaultScenario, run_workload
+from repro.simulation import FaultScenario, run_scenario
 
 
 def banner(title: str) -> None:
@@ -72,7 +72,7 @@ def main() -> None:
     crashed = frozenset(
         (int(row), int(column)) for row, column in crash_rng.integers(side, size=(4, 2))
     )
-    result = run_workload(
+    result = run_scenario(
         implicit,
         b=0,
         num_operations=8 * side * side,

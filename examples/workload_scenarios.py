@@ -28,7 +28,7 @@ from repro.analysis import (
     empirical_availability_comparison,
     empirical_load_comparison,
 )
-from repro.simulation import run_workload, scenario_suite
+from repro.simulation import run_scenario, scenario_suite
 
 
 def print_table(headers, rows):
@@ -52,7 +52,7 @@ def main() -> None:
     rows = []
     for scenario in scenario_suite(system.universe, b=b, rng=rng):
         for strategy in ("uniform", "optimal"):
-            result = run_workload(
+            result = run_scenario(
                 system,
                 b=b,
                 num_operations=20_000,

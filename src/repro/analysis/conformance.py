@@ -40,7 +40,7 @@ What is checked, and why it is sound:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, sqrt
@@ -249,11 +249,43 @@ def worst_case_induced_load(
             f"worst-case load bound needs {total_sets} crash sets at n={n}, "
             f"b={b}; limit is {limit}"
         )
-    resolved = resolve_strategy(system, strategy)
-    crash_sets: list[tuple] = []
-    for k in range(min(b, n) + 1):
-        crash_sets.extend(combinations(universe.elements, k))
-    per_set = restricted_induced_loads(resolved, universe, crash_sets)
+    crash_sets = [
+        crash_set
+        for k in range(min(b, n) + 1)
+        for crash_set in combinations(universe.elements, k)
+    ]
+    return _envelope(resolve_strategy(system, strategy), universe, crash_sets)
+
+
+# ----------------------------------------------------------------------
+# The three primitives every run-level check is composed from.
+# ----------------------------------------------------------------------
+def _zero(metric: str, observed: float, detail: str) -> ConformanceCheck:
+    """An exact zero bound (the Lemma 3.6 counters): no sampling, no slack."""
+    return ConformanceCheck(metric=metric, observed=float(observed), bound=0.0, detail=detail)
+
+
+def _statistical(
+    metric: str,
+    observed: float,
+    bound: Callable[[], float],
+    trials: int,
+    z: float,
+    detail: str,
+    direction: str = "<=",
+) -> ConformanceCheck | None:
+    """A bound held with binomial slack; no check when the bound is intractable."""
+    try:
+        value = float(bound())
+    except ComputationError:
+        return None
+    slack = _binomial_slack(value, trials, z)
+    return ConformanceCheck(metric, observed, value, direction, slack, detail)
+
+
+def _envelope(strategy: Strategy, universe: Universe, crash_sets: Sequence[Iterable]) -> float:
+    """The largest finite restricted induced load over ``crash_sets`` (0 if none)."""
+    per_set = restricted_induced_loads(strategy, universe, crash_sets)
     finite = per_set[~np.isnan(per_set)]
     return float(finite.max()) if finite.size else 0.0
 
@@ -263,6 +295,68 @@ def _binomial_slack(rate: float, trials: int, z: float) -> float:
     trials = max(1, trials)
     clipped = min(max(rate, 0.0), 1.0)
     return z * sqrt(clipped * (1.0 - clipped) / trials) + 1.0 / trials
+
+
+# ----------------------------------------------------------------------
+# Compositions shared by several entry points.
+# ----------------------------------------------------------------------
+def _report(*checks: ConformanceCheck | None) -> ConformanceReport:
+    return ConformanceReport(checks=tuple(check for check in checks if check is not None))
+
+
+def _require_service_shape(value: object, attributes: tuple[str, ...], role: str) -> None:
+    """Duck-typing guard: this module never imports the service layer."""
+    for attribute in attributes:
+        if not hasattr(value, attribute):
+            raise InvalidParameterError(
+                f"{role} must be a ServiceRunResult-shaped object; "
+                f"{type(value).__name__} has no {attribute!r}"
+            )
+
+
+def _successful_reads(records: Iterable) -> int:
+    return max(1, sum(1 for record in records if record.success and record.kind == "read"))
+
+
+def _load_squeeze(
+    system: QuorumSystem,
+    strategy: Strategy,
+    observed: float,
+    *,
+    trials: int,
+    crash_sets: Sequence[Iterable],
+    envelope_detail: str,
+    budget: int | None,
+    z: float,
+    limit: int,
+) -> tuple[ConformanceCheck | None, ...]:
+    """Envelope over the realised crash sets, worst case up to ``budget``, and L(Q)."""
+    # Outside the callable: the envelope is always tractable, so a
+    # ComputationError here is a real error and must not drop the check.
+    envelope = _envelope(strategy, system.universe, crash_sets)
+    worst_detail = f"restricted induced load over every crash set of size <= {budget}"
+    return (
+        _statistical("load-envelope", observed, lambda: envelope, trials, z, envelope_detail),
+        None
+        if budget is None
+        else _statistical(
+            "load-worst-case",
+            observed,
+            lambda: worst_case_induced_load(system, strategy, b=budget, limit=limit),
+            trials,
+            z,
+            worst_detail,
+        ),
+        _statistical(
+            "load-lp-lower-bound",
+            observed,
+            lambda: exact_load(system).load,
+            trials,
+            z,
+            "L(Q) of the Definition 3.8 LP — no strategy induces less",
+            ">=",
+        ),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -293,65 +387,25 @@ def load_conformance(
             "the adversarial result carries no strategy; rerun through "
             "run_adversarial_workload"
         )
-    universe = system.universe
-    successful = result.successful_reads + result.successful_writes
-    observed = result.empirical_load
-
-    crash_sets = [round_.fault.crashed for round_ in result.rounds]
-    per_round = restricted_induced_loads(result.strategy, universe, crash_sets)
-    finite = per_round[~np.isnan(per_round)]
-    envelope = float(finite.max()) if finite.size else 0.0
-    checks = [
-        ConformanceCheck(
-            metric="load-envelope",
-            observed=observed,
-            bound=envelope,
-            direction="<=",
-            slack=_binomial_slack(envelope, successful, z),
-            detail=(
-                "restricted induced load maximised over the adversary's "
-                f"{len(result.rounds)} realised crash sets"
-            ),
-        )
-    ]
-
     budget = b if b is not None else max(
         (round_.fault.num_crashed for round_ in result.rounds), default=0
     )
-    try:
-        worst = worst_case_induced_load(
-            system, result.strategy, b=budget, limit=worst_case_limit
+    return _report(
+        *_load_squeeze(
+            system,
+            result.strategy,
+            result.empirical_load,
+            trials=result.successful_reads + result.successful_writes,
+            crash_sets=[round_.fault.crashed for round_ in result.rounds],
+            envelope_detail=(
+                "restricted induced load maximised over the adversary's "
+                f"{len(result.rounds)} realised crash sets"
+            ),
+            budget=budget,
+            z=z,
+            limit=worst_case_limit,
         )
-    except ComputationError:
-        worst = None
-    if worst is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-worst-case",
-                observed=observed,
-                bound=worst,
-                direction="<=",
-                slack=_binomial_slack(worst, successful, z),
-                detail=f"restricted induced load over every crash set of size <= {budget}",
-            )
-        )
-
-    try:
-        lp_load = float(exact_load(system).load)
-    except ComputationError:
-        lp_load = None
-    if lp_load is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-lp-lower-bound",
-                observed=observed,
-                bound=lp_load,
-                direction=">=",
-                slack=_binomial_slack(lp_load, successful, z),
-                detail="L(Q) of the Definition 3.8 LP — no strategy induces less",
-            )
-        )
-    return ConformanceReport(checks=tuple(checks))
+    )
 
 
 def masking_conformance(result: WorkloadResult, *, b: int) -> ConformanceReport:
@@ -364,38 +418,27 @@ def masking_conformance(result: WorkloadResult, *, b: int) -> ConformanceReport:
     the guarantee does not apply and the check is vacuous by construction —
     overloaded negative runs should expect failures here).
     """
-    successful_reads = max(1, result.successful_reads)
     rounds = getattr(result, "rounds", ())
-    max_byzantine = max(
-        (round_.fault.num_byzantine for round_ in rounds), default=0
+    return _report(
+        _zero(
+            "fabricated-reads",
+            result.consistency_violations,
+            f"Lemma 3.6: no fabrication with <= b={b} liars",
+        ),
+        _zero(
+            "stale-read-rate",
+            result.stale_reads / max(1, result.successful_reads),
+            "Lemma 3.6: reads see the latest completed write",
+        ),
+        None
+        if not rounds
+        else ConformanceCheck(
+            "byzantine-budget",
+            float(max(round_.fault.num_byzantine for round_ in rounds)),
+            float(b),
+            detail="the adversary stayed within the masking parameter",
+        ),
     )
-    checks = [
-        ConformanceCheck(
-            metric="fabricated-reads",
-            observed=float(result.consistency_violations),
-            bound=0.0,
-            direction="<=",
-            detail=f"Lemma 3.6: no fabrication with <= b={b} liars",
-        ),
-        ConformanceCheck(
-            metric="stale-read-rate",
-            observed=result.stale_reads / successful_reads,
-            bound=0.0,
-            direction="<=",
-            detail="Lemma 3.6: reads see the latest completed write",
-        ),
-    ]
-    if rounds:
-        checks.append(
-            ConformanceCheck(
-                metric="byzantine-budget",
-                observed=float(max_byzantine),
-                bound=float(b),
-                direction="<=",
-                detail="the adversary stayed within the masking parameter",
-            )
-        )
-    return ConformanceReport(checks=tuple(checks))
 
 
 def service_conformance(
@@ -428,109 +471,50 @@ def service_conformance(
     (killed or stalled past the retry budget); each is bounded like one
     adversarial round.
     """
-    for attribute in ("system", "b", "check", "per_server_load", "strategy", "records"):
-        if not hasattr(result, attribute):
-            raise InvalidParameterError(
-                "service_conformance takes a ServiceRunResult-shaped object; "
-                f"{type(result).__name__} has no {attribute!r}"
-            )
-    system: QuorumSystem = result.system
+    _require_service_shape(
+        result,
+        ("system", "b", "check", "per_server_load", "strategy", "records"),
+        "service_conformance's result",
+    )
     history = result.check
-    successful = [record for record in result.records if record.success]
-    successful_reads = max(
-        1, sum(1 for record in successful if record.kind == "read")
-    )
-    observed = (
-        max(result.per_server_load.values()) if result.per_server_load else 0.0
-    )
-
-    checks = [
-        ConformanceCheck(
-            metric="fabricated-reads",
-            observed=float(history.fabricated_reads),
-            bound=0.0,
-            direction="<=",
-            detail=f"Lemma 3.6 over live traffic: no fabrication with <= b={result.b} liars",
+    realised = [(), *(tuple(crash_set) for crash_set in crash_sets or ())]
+    return _report(
+        _zero(
+            "fabricated-reads",
+            history.fabricated_reads,
+            f"Lemma 3.6 over live traffic: no fabrication with <= b={result.b} liars",
         ),
-        ConformanceCheck(
-            metric="stale-read-rate",
-            observed=history.stale_reads / successful_reads,
-            bound=0.0,
-            direction="<=",
-            detail="Lemma 3.6 over live traffic: reads see the latest completed write",
+        _zero(
+            "stale-read-rate",
+            history.stale_reads / _successful_reads(result.records),
+            "Lemma 3.6 over live traffic: reads see the latest completed write",
         ),
-        ConformanceCheck(
-            metric="history-safety",
-            observed=float(
-                history.write_order_violations + history.duplicate_write_timestamps
-            ),
-            bound=0.0,
-            direction="<=",
-            detail="real-time write order and unique write timestamps",
+        _zero(
+            "history-safety",
+            history.write_order_violations + history.duplicate_write_timestamps,
+            "real-time write order and unique write timestamps",
         ),
-    ]
-
-    realised: list[tuple] = [()]
-    for crash_set in crash_sets or ():
-        realised.append(tuple(crash_set))
-    per_set = restricted_induced_loads(result.strategy, system.universe, realised)
-    finite = per_set[~np.isnan(per_set)]
-    envelope = float(finite.max()) if finite.size else 0.0
-    checks.append(
-        ConformanceCheck(
-            metric="load-envelope",
-            observed=observed,
-            bound=envelope,
-            direction="<=",
-            slack=_binomial_slack(envelope, len(successful), z),
-            detail=(
+        *_load_squeeze(
+            result.system,
+            result.strategy,
+            max(result.per_server_load.values()) if result.per_server_load else 0.0,
+            trials=sum(1 for record in result.records if record.success),
+            crash_sets=realised,
+            envelope_detail=(
                 "restricted induced load of the client strategy over the "
                 f"{len(realised)} realised crash sets"
             ),
-        )
+            # The crash-budget worst case only bounds runs whose outages
+            # stayed within the masking budget (its quantifier ranges over
+            # sets of size <= b); larger realised crash sets are covered by
+            # the envelope.
+            budget=(
+                result.b if all(len(crash_set) <= result.b for crash_set in realised) else None
+            ),
+            z=z,
+            limit=worst_case_limit,
+        ),
     )
-
-    # The crash-budget worst case only bounds runs whose outages stayed
-    # within the masking budget (its quantifier ranges over sets of size
-    # <= b); larger realised crash sets are covered by the envelope above.
-    if all(len(crash_set) <= result.b for crash_set in realised):
-        try:
-            worst = worst_case_induced_load(
-                system, result.strategy, b=result.b, limit=worst_case_limit
-            )
-        except ComputationError:
-            worst = None
-        if worst is not None:
-            checks.append(
-                ConformanceCheck(
-                    metric="load-worst-case",
-                    observed=observed,
-                    bound=worst,
-                    direction="<=",
-                    slack=_binomial_slack(worst, len(successful), z),
-                    detail=(
-                        "restricted induced load over every crash set of size "
-                        f"<= {result.b}"
-                    ),
-                )
-            )
-
-    try:
-        lp_load = float(exact_load(system).load)
-    except ComputationError:
-        lp_load = None
-    if lp_load is not None:
-        checks.append(
-            ConformanceCheck(
-                metric="load-lp-lower-bound",
-                observed=observed,
-                bound=lp_load,
-                direction=">=",
-                slack=_binomial_slack(lp_load, len(successful), z),
-                detail="L(Q) of the Definition 3.8 LP — no strategy induces less",
-            )
-        )
-    return ConformanceReport(checks=tuple(checks))
 
 
 def _timestamp_rank(timestamp) -> float:
@@ -572,12 +556,7 @@ def recovery_conformance(
       across the restart, **without** any client-side ``initial_pair``
       chaining having been needed.
     """
-    for attribute in ("records", "b"):
-        if not hasattr(result, attribute):
-            raise InvalidParameterError(
-                "recovery_conformance takes a ServiceRunResult-shaped object; "
-                f"{type(result).__name__} has no {attribute!r}"
-            )
+    _require_service_shape(result, ("records", "b"), "recovery_conformance's result")
     recovered = (
         recovered_timestamp
         if isinstance(recovered_timestamp, Timestamp)
@@ -592,53 +571,36 @@ def recovery_conformance(
         and server_id in (record.quorum or ())
     ]
     floor = max(acked, default=Timestamp.zero())
-    checks = [
-        ConformanceCheck(
-            metric="recovered-timestamp",
-            observed=_timestamp_rank(recovered),
-            bound=_timestamp_rank(floor),
-            direction=">=",
-            detail=(
-                f"replica {server_id!r} recovered ts={recovered.counter, recovered.client_id} "
-                f"vs last acked write ts={floor.counter, floor.client_id} over "
-                f"{len(acked)} acked writes (journal-before-ack contract)"
-            ),
-        )
-    ]
-    if post_result is not None:
-        for attribute in ("check", "records"):
-            if not hasattr(post_result, attribute):
-                raise InvalidParameterError(
-                    "recovery_conformance post_result must be ServiceRunResult-"
-                    f"shaped; {type(post_result).__name__} has no {attribute!r}"
-                )
-        post_history = post_result.check
-        post_reads = max(
-            1,
-            sum(1 for record in post_result.records if record.success and record.kind == "read"),
-        )
-        checks.append(
-            ConformanceCheck(
-                metric="post-restart-fabricated",
-                observed=float(post_history.fabricated_reads),
-                bound=0.0,
-                direction="<=",
-                detail="Lemma 3.6 across the restart: no fabricated reads",
-            )
-        )
-        checks.append(
-            ConformanceCheck(
-                metric="post-restart-stale-rate",
-                observed=post_history.stale_reads / post_reads,
-                bound=0.0,
-                direction="<=",
-                detail=(
-                    "Lemma 3.6 across the restart: staleness bound holds with "
-                    "no client-side initial_pair chaining"
-                ),
-            )
-        )
-    return ConformanceReport(checks=tuple(checks))
+    recovered_check = ConformanceCheck(
+        metric="recovered-timestamp",
+        observed=_timestamp_rank(recovered),
+        bound=_timestamp_rank(floor),
+        direction=">=",
+        detail=(
+            f"replica {server_id!r} recovered ts={recovered.counter, recovered.client_id} "
+            f"vs last acked write ts={floor.counter, floor.client_id} over "
+            f"{len(acked)} acked writes (journal-before-ack contract)"
+        ),
+    )
+    if post_result is None:
+        return _report(recovered_check)
+    _require_service_shape(
+        post_result, ("check", "records"), "recovery_conformance's post_result"
+    )
+    return _report(
+        recovered_check,
+        _zero(
+            "post-restart-fabricated",
+            post_result.check.fabricated_reads,
+            "Lemma 3.6 across the restart: no fabricated reads",
+        ),
+        _zero(
+            "post-restart-stale-rate",
+            post_result.check.stale_reads / _successful_reads(post_result.records),
+            "Lemma 3.6 across the restart: staleness bound holds with "
+            "no client-side initial_pair chaining",
+        ),
+    )
 
 
 def availability_conformance(
@@ -658,26 +620,12 @@ def availability_conformance(
     :func:`~repro.core.analytic.analytic_failure_probability`.
     """
     fp = float(analytic_failure_probability(system, p).value)
-    slack = _binomial_slack(fp, trials, z)
-    checks = (
-        ConformanceCheck(
-            metric="failure-rate-upper",
-            observed=observed_failure_rate,
-            bound=fp,
-            direction="<=",
-            slack=slack,
-            detail=f"closed-form Fp({p}) = {fp:.6g} over {trials} trials",
-        ),
-        ConformanceCheck(
-            metric="failure-rate-lower",
-            observed=observed_failure_rate,
-            bound=fp,
-            direction=">=",
-            slack=slack,
-            detail=f"closed-form Fp({p}) = {fp:.6g} over {trials} trials",
-        ),
+    detail = f"closed-form Fp({p}) = {fp:.6g} over {trials} trials"
+    observed = observed_failure_rate
+    return _report(
+        _statistical("failure-rate-upper", observed, lambda: fp, trials, z, detail, "<="),
+        _statistical("failure-rate-lower", observed, lambda: fp, trials, z, detail, ">="),
     )
-    return ConformanceReport(checks=checks)
 
 
 # ----------------------------------------------------------------------
@@ -711,11 +659,10 @@ def adversarial_conformance(
         rng=np.random.default_rng(seed),
         write_fraction=write_fraction,
     )
-    checks = (
-        load_conformance(result, system, b=b, z=z).checks
-        + masking_conformance(result, b=b).checks
+    return result, _report(
+        *load_conformance(result, system, b=b, z=z).checks,
+        *masking_conformance(result, b=b).checks,
     )
-    return result, ConformanceReport(checks=checks)
 
 
 def reconfig_conformance(
@@ -750,76 +697,43 @@ def reconfig_conformance(
         raise InvalidParameterError(
             f"reconfig_conformance takes a ReconfigResult, got {type(result).__name__}"
         )
-    checks: list[ConformanceCheck] = []
+    checks: list[ConformanceCheck | None] = []
     for outcome in result.outcomes:
         rebound = membership.rebind(system, outcome.index)
         run = outcome.result
         tag = f"[e{outcome.index}]"
-        successful = run.operations - run.failed_operations
-        observed = run.empirical_load
-
-        if outcome.policy != "reweight":
-            try:
-                lp_load = float(exact_load(rebound).load)
-            except ComputationError:
-                lp_load = None
-            if lp_load is not None:
-                checks.append(
-                    ConformanceCheck(
-                        metric=f"load-lp-lower-bound{tag}",
-                        observed=observed,
-                        bound=lp_load,
-                        direction=">=",
-                        slack=_binomial_slack(lp_load, successful, z),
-                        detail=(
-                            f"L(Q) of epoch {outcome.index}'s rebound system "
-                            f"{outcome.system_name} (n={outcome.n})"
-                        ),
-                    )
-                )
-
-        if outcome.strategy is not None:
-            try:
-                worst = worst_case_induced_load(
+        trials = run.operations - run.failed_operations
+        lemma = f"Lemma 3.6 with the epoch's own b={outcome.b}"
+        checks += [
+            None
+            if outcome.policy == "reweight"
+            else _statistical(
+                f"load-lp-lower-bound{tag}",
+                run.empirical_load,
+                lambda: exact_load(rebound).load,
+                trials,
+                z,
+                f"L(Q) of epoch {outcome.index}'s rebound system "
+                f"{outcome.system_name} (n={outcome.n})",
+                ">=",
+            ),
+            None
+            if outcome.strategy is None
+            else _statistical(
+                f"load-envelope{tag}",
+                run.empirical_load,
+                lambda: worst_case_induced_load(
                     rebound, outcome.strategy, b=outcome.b, limit=worst_case_limit
-                )
-            except ComputationError:
-                worst = None
-            if worst is not None:
-                checks.append(
-                    ConformanceCheck(
-                        metric=f"load-envelope{tag}",
-                        observed=observed,
-                        bound=worst,
-                        direction="<=",
-                        slack=_binomial_slack(worst, successful, z),
-                        detail=(
-                            "restricted induced load of the epoch's strategy over "
-                            f"every crash set of size <= b={outcome.b}"
-                        ),
-                    )
-                )
-
-        successful_reads = max(1, run.successful_reads)
-        checks.append(
-            ConformanceCheck(
-                metric=f"fabricated-reads{tag}",
-                observed=float(run.consistency_violations),
-                bound=0.0,
-                direction="<=",
-                detail=f"Lemma 3.6 with the epoch's own b={outcome.b}",
-            )
-        )
-        checks.append(
-            ConformanceCheck(
-                metric=f"stale-read-rate{tag}",
-                observed=run.stale_reads / successful_reads,
-                bound=0.0,
-                direction="<=",
-                detail=f"Lemma 3.6 with the epoch's own b={outcome.b}",
-            )
-        )
-    return ConformanceReport(checks=tuple(checks))
+                ),
+                trials,
+                z,
+                "restricted induced load of the epoch's strategy over "
+                f"every crash set of size <= b={outcome.b}",
+            ),
+            _zero(f"fabricated-reads{tag}", run.consistency_violations, lemma),
+            _zero(f"stale-read-rate{tag}", run.stale_reads / max(1, run.successful_reads), lemma),
+        ]
+    return _report(*checks)
 
 
 def percolation_conformance(

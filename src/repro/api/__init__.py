@@ -21,7 +21,7 @@ One spec-driven surface over everything the reproduction can do:
 * **cli** (:mod:`repro.api.cli`) — ``python -m repro
   measure|run|table|compare|list [--json]``.
 
-The older entry points (``exact_load``, ``analytic_*``, ``run_workload``,
+The older entry points (``exact_load``, ``analytic_*``, ``run_scenario``,
 ``run_event_workload``, direct construction imports) remain supported;
 they are what the facade dispatches to.  See ``docs/api.md`` for the tour.
 

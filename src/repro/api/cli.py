@@ -405,13 +405,12 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts, request_timeout=args.timeout
     )
     protocol_b = b if args.protocol_b is None else args.protocol_b
-    initial_pair = None
-    if args.initial_from_cluster:
-        # Server-side state discovery (b+1-vouched STATUS pairs): the durable
-        # replacement for chaining a previous run's final_pair by hand.
-        initial_pair = asyncio.run(
-            discover_initial_pair(replicas, b=protocol_b, timeout=args.timeout)
-        )
+    # The history checker must start from what the cluster already holds
+    # (b+1-vouched STATUS pairs), or a warm cluster's earlier writes read
+    # back as fabrications.
+    initial_pair = asyncio.run(
+        discover_initial_pair(replicas, b=protocol_b, timeout=args.timeout)
+    )
     result = asyncio.run(
         run_load(
             system,
@@ -818,16 +817,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-request timeout in seconds (RetryPolicy.request_timeout)",
     )
     loadgen_parser.add_argument("--max-attempts", dest="max_attempts", type=int, default=10)
-    loadgen_parser.add_argument(
-        "--initial-from-cluster",
-        dest="initial_from_cluster",
-        action="store_true",
-        help=(
-            "discover the register state the cluster already holds (b+1-"
-            "vouched STATUS pairs) and hand it to the checker as the run's "
-            "initial pair — for runs against a recovered durable cluster"
-        ),
-    )
     loadgen_parser.add_argument(
         "--conformance",
         action="store_true",

@@ -2,7 +2,7 @@
 
 PRs 2–3 left the repo with two workload engines with different call
 conventions and result shapes: the vectorised scenario engine
-(:func:`repro.simulation.runner.run_workload` returning
+(:func:`repro.simulation.engine.run_scenario` returning
 :class:`~repro.simulation.engine.WorkloadResult`) and the event-driven
 concurrent core (:func:`repro.simulation.runner.run_event_workload`
 returning :class:`~repro.simulation.runner.EventWorkloadResult`).  The
@@ -38,12 +38,13 @@ from repro.core.quorum_system import ImplicitQuorumSystem, QuorumSystem
 from repro.core.strategy import Strategy
 from repro.exceptions import ComputationError, InvalidParameterError
 from repro.simulation.adversary import AdaptiveScenario, run_adversarial_workload
+from repro.simulation.engine import run_scenario
 from repro.simulation.faults import FaultScenario
 from repro.simulation.reconfig import (
     run_reconfig_event_workload,
     run_reconfig_workload,
 )
-from repro.simulation.runner import run_event_workload, run_workload
+from repro.simulation.runner import run_event_workload
 from repro.simulation.scenarios import TimingScenario, WorkloadScenario
 from repro.simulation.traces import TraceScenario, run_trace_workload
 
@@ -571,7 +572,7 @@ def run(spec: WorkloadSpec, *, engine: str = "auto") -> WorkloadReport:
     elif chosen == "vectorized":
         if isinstance(scenario, FaultScenario):
             scenario = WorkloadScenario.from_fault_scenario(scenario)
-        result = run_workload(
+        result = run_scenario(
             system,
             b=b,
             num_operations=spec.operations,

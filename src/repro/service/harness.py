@@ -395,8 +395,10 @@ async def discover_initial_pair(
     ts)`` pair and returns the highest-timestamp pair vouched for by at
     least ``b + 1`` replicas — the same masking rule a read uses, so up to
     ``b`` Byzantine or freshly-wiped replicas cannot fabricate or roll back
-    the discovered state.  ``None`` when no pair reaches the vouch
-    threshold (e.g. a cluster that never served a write).
+    the discovered state.  A cluster that never served a write returns the
+    zero-timestamp initial pair its replicas all hold; ``None`` only when no
+    pair reaches ``b + 1`` vouches (too few replicas answered, or they all
+    disagree).
 
     This replaces client-side ``initial_pair`` chaining across runs against
     a *durable* cluster: after a full-cluster restart the state lives in the

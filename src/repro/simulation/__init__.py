@@ -14,14 +14,14 @@ Three layers are provided:
   them interleave within one run and the produced concurrent histories are
   checked with a linearizability-style register checker
   (:func:`check_register_history`), behind :func:`run_event_workload`;
-* the **message-level synchronous** simulator (:class:`ReplicatedRegister`,
-  :class:`QuorumClient`, :class:`SynchronousNetwork`, the replica servers) —
-  the zero-latency special case of the event core, one request object per
-  delivery, used by the protocol-step tests and examples; and
+* the **message-level synchronous** simulator (:class:`QuorumClient`,
+  :class:`SynchronousNetwork`, :func:`build_replicas`) — the zero-latency
+  special case of the event core, one request object per delivery, the
+  reference the protocol-step tests drive; and
 * the **vectorised scenario engine** (:mod:`repro.simulation.engine`,
   :mod:`repro.simulation.scenarios`) — batched array execution of whole
   workloads over the bitmask incidence machinery, behind
-  :func:`run_workload`.  See ``docs/simulation.md``.
+  :func:`run_scenario`.  See ``docs/simulation.md``.
 """
 
 from repro.simulation.adversary import (
@@ -67,12 +67,10 @@ from repro.simulation.reconfig import (
     run_reconfig_event_workload,
     run_reconfig_workload,
 )
-from repro.simulation.register import ReplicatedRegister
 from repro.simulation.runner import (
     EventWorkloadResult,
     build_replicas,
     run_event_workload,
-    run_workload,
 )
 from repro.simulation.scenarios import (
     BYZANTINE_MODELS,
@@ -132,7 +130,6 @@ __all__ = [
     "ReconfigEventResult",
     "ReconfigResult",
     "ReplicaServer",
-    "ReplicatedRegister",
     "RetryPolicy",
     "StaleReadAdversary",
     "SynchronousNetwork",
@@ -166,7 +163,6 @@ __all__ = [
     "run_reconfig_workload",
     "run_scenario",
     "run_trace_workload",
-    "run_workload",
     "scenario_suite",
     "slow_server_scenario",
     "timing_scenario_suite",

@@ -1,9 +1,9 @@
 """Vectorised scenario engine for replicated-register workloads.
 
-The legacy runner simulated workloads one message at a time: every operation
-built request objects, broadcast them over a synchronous network and folded
-replies in Python loops.  This engine runs the same *accounting model* as
-batched array computations over the bitmask machinery of
+The message-level protocol stack simulates a workload one message at a
+time: every operation builds request objects, broadcasts them over a network
+and folds replies in Python loops.  This engine runs the same *accounting
+model* as batched array computations over the bitmask machinery of
 :mod:`repro.core.bitset`:
 
 * the access strategy is sampled as **index vectors**
@@ -41,8 +41,8 @@ protocol-level simulator.
 Determinism
 -----------
 ``run_scenario(..., mode="sequential")`` executes the identical semantics one
-operation at a time with Python integers and sets — the legacy-style
-per-operation path.  Both modes consume the same pre-drawn random schedule,
+operation at a time with Python integers and sets — the per-operation
+reference path.  Both modes consume the same pre-drawn random schedule,
 so for any seed they produce **bit-for-bit identical**
 :class:`WorkloadResult` objects; the agreement test in
 ``tests/test_simulation_engine.py`` locks this in.
@@ -135,7 +135,7 @@ def resolve_strategy(system: QuorumSystem, strategy: Strategy | str | None) -> S
     """Resolve a strategy specification into a :class:`Strategy`.
 
     ``None`` or ``"uniform"`` gives the uniform strategy over the system's
-    quorums (the legacy runner's default); ``"optimal"`` wires in the
+    quorums (the default); ``"optimal"`` wires in the
     load-optimal strategy of the :func:`~repro.core.load.exact_load` LP, so
     workloads can be driven at the system's actual ``L(Q)``; a
     :class:`Strategy` instance is used as given.

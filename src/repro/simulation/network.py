@@ -21,7 +21,8 @@ crashed servers and both write phases included) from **delivered** requests
 (actually handled by a responsive replica).  Neither is the empirical *load*
 of Definition 3.8 — that is a successful-operation access frequency and is
 accounted at the client layer (``QuorumClient.successful_access_counts``,
-aggregated by ``ReplicatedRegister.empirical_loads``).  The network exposes
+aggregated across clients by
+:func:`~repro.simulation.client.pooled_loads`).  The network exposes
 its counters as per-operation *message rates*, a cost diagnostic mirroring
 the engine's ``per_server_messages`` / ``per_server_attempted``.
 """
@@ -104,7 +105,7 @@ class SynchronousNetwork:
         heavy faults.  ``which="delivered"`` counts only requests a
         responsive server handled.  For the empirical *load* of
         Definition 3.8 (successful-operation access frequencies, never above
-        1) use ``ReplicatedRegister.empirical_loads``.
+        1) use :func:`~repro.simulation.client.pooled_loads`.
         """
         if total_operations <= 0:
             raise SimulationError(

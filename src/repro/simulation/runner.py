@@ -1,14 +1,13 @@
-"""Workload runner: end-to-end experiments over the replicated register.
+"""Event-driven workload runner: replicas, clients and a history check, wired together.
 
-This module is the stable entry point for workload experiments; since the
-vectorised scenario engine landed, :func:`run_workload` is a thin
-compatibility wrapper over :func:`repro.simulation.engine.run_scenario`.  The
-engine executes batches of operations as array computations over the bitmask
-incidence machinery (see :mod:`repro.simulation.engine` for the execution
-semantics and ``docs/simulation.md`` for the measurement model); the
-message-level protocol objects (:class:`~repro.simulation.client.QuorumClient`,
-:class:`~repro.simulation.register.ReplicatedRegister`) remain available for
-protocol-step tests and examples.
+:func:`run_event_workload` deploys one replica per universe element
+(:func:`build_replicas`), drives concurrent resumable clients over the
+discrete-event network and checks the completed history.  Batched workloads
+run on the vectorised scenario engine,
+:func:`repro.simulation.engine.run_scenario`; the message-level protocol
+objects (:class:`~repro.simulation.client.QuorumClient` over
+:class:`~repro.simulation.network.SynchronousNetwork`) remain the reference
+for protocol-step tests.
 
 Accounting note (the Definition 3.8 fix): ``empirical_load`` and
 ``per_server_load`` count quorum accesses of *successful* operations only and
@@ -32,7 +31,7 @@ from repro.core.rng import ensure_rng
 from repro.core.strategy import Strategy
 from repro.exceptions import SimulationError
 from repro.simulation.client import AsyncQuorumClient, RetryPolicy, pooled_loads
-from repro.simulation.engine import WorkloadResult, resolve_strategy, run_scenario
+from repro.simulation.engine import WorkloadResult, resolve_strategy
 from repro.simulation.events import (
     EventNetwork,
     EventScheduler,
@@ -43,11 +42,7 @@ from repro.simulation.events import (
 from repro.simulation.faults import FaultScenario
 from repro.simulation.history import HistoryCheck, HistoryRecorder
 from repro.simulation.messages import Timestamp, ValueTimestampPair
-from repro.simulation.scenarios import (
-    BYZANTINE_MODELS,
-    TimingScenario,
-    WorkloadScenario,
-)
+from repro.simulation.scenarios import TimingScenario
 from repro.simulation.server import (
     BYZANTINE_BEHAVIOURS,
     ByzantineReplicaServer,
@@ -59,7 +54,6 @@ __all__ = [
     "WorkloadResult",
     "build_replicas",
     "run_event_workload",
-    "run_workload",
 ]
 
 
@@ -73,10 +67,10 @@ def build_replicas(
 ) -> dict[Hashable, ReplicaServer]:
     """One replica per universe element, Byzantine where ``byzantine`` says so.
 
-    Shared by :class:`~repro.simulation.register.ReplicatedRegister` setups
-    and the event-driven drivers; Byzantine replicas get independent
-    generators spawned from ``rng`` so replica randomness never perturbs the
-    clients' draw streams (the zero-latency agreement relies on that).
+    Shared by the synchronous protocol tests and the event-driven runners;
+    Byzantine replicas get independent generators spawned from ``rng`` so
+    replica randomness never perturbs the clients' draw streams (the
+    zero-latency agreement relies on that).
     """
     rng = ensure_rng(rng)
     seeds = iter(rng.integers(2**63, size=max(1, len(byzantine))))
@@ -357,86 +351,3 @@ def run_event_workload(
         history=tuple(records) if keep_history else (),
     )
 
-
-def _byzantine_model_for(behaviour: str) -> str:
-    """Map a replica-level Byzantine behaviour onto the engine's vouch model.
-
-    All the message-level lies of
-    :class:`~repro.simulation.server.ByzantineReplicaServer` put the whole
-    Byzantine set behind a single forged candidate, so they map to the
-    ``"fabricate"`` camp model; ``"equivocate"`` (a scenario-engine model with
-    two conflicting camps) is also accepted directly.
-    """
-    if behaviour in BYZANTINE_MODELS:
-        return behaviour
-    if behaviour not in BYZANTINE_BEHAVIOURS:
-        raise SimulationError(
-            f"unknown Byzantine behaviour {behaviour!r}; choose one of "
-            f"{sorted(BYZANTINE_BEHAVIOURS | BYZANTINE_MODELS)}"
-        )
-    return "fabricate"
-
-
-def run_workload(
-    system: QuorumSystem,
-    *,
-    b: int,
-    num_operations: int = 200,
-    scenario: FaultScenario | WorkloadScenario | None = None,
-    byzantine_behaviour: str = "fabricate-timestamp",
-    rng: np.random.Generator | None = None,
-    write_fraction: float = 0.5,
-    allow_overload: bool = False,
-    strategy: Strategy | str | None = None,
-    max_attempts: int = 10,
-    engine: str = "vectorised",
-) -> WorkloadResult:
-    """Run a read/write workload and collect consistency and load statistics.
-
-    Parameters
-    ----------
-    system:
-        The quorum system to deploy over.
-    b:
-        Masking parameter used by the read protocol.
-    num_operations:
-        Total operations across all clients.
-    scenario:
-        Fault scenario — static or phased (fault-free by default).
-    byzantine_behaviour:
-        Lie told by Byzantine replicas; mapped onto the engine's vouching
-        model (see :func:`_byzantine_model_for`).  When a phased
-        :class:`~repro.simulation.scenarios.WorkloadScenario` is passed, its
-        own ``byzantine_model`` wins and this argument is ignored.
-    write_fraction:
-        Probability that an operation is a write.
-    allow_overload:
-        Permit more Byzantine servers than ``b`` (negative tests only).
-    strategy:
-        Access strategy: ``None``/``"uniform"`` for the legacy uniform
-        behaviour, ``"optimal"`` for the load-optimal LP strategy of
-        :func:`~repro.core.load.exact_load`, or an explicit
-        :class:`~repro.core.strategy.Strategy`.
-    max_attempts:
-        Probe budget charged to unavailable operations.
-    engine:
-        ``"vectorised"`` (default) or ``"sequential"`` — the per-operation
-        reference path with identical semantics and, for a given rng state,
-        bit-for-bit identical results.
-    """
-    byzantine_model: str | None = None
-    if not isinstance(scenario, WorkloadScenario):
-        byzantine_model = _byzantine_model_for(byzantine_behaviour)
-    return run_scenario(
-        system,
-        b=b,
-        num_operations=num_operations,
-        scenario=scenario,
-        strategy=strategy,
-        rng=rng,
-        write_fraction=write_fraction,
-        max_attempts=max_attempts,
-        allow_overload=allow_overload,
-        byzantine_model=byzantine_model,
-        mode=engine,
-    )

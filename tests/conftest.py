@@ -23,12 +23,32 @@ from repro import (
     majority,
     masking_threshold,
 )
+from repro.simulation import FaultScenario, QuorumClient, SynchronousNetwork, build_replicas
 
 
 @pytest.fixture
 def rng() -> np.random.Generator:
     """A deterministic random generator shared by stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def deploy():
+    """Wire replicas, a synchronous network and ``clients`` clients sharing ``rng``.
+
+    Replicas draw from their own generator, so the clients' stream is ``rng``'s alone.
+    Returns ``(servers, clients)``; pool the clients' loads with ``pooled_loads``.
+    """
+
+    def make(system, *, b, rng, scenario=None, clients=1, max_attempts=10, **replicas):
+        scenario = scenario if scenario is not None else FaultScenario.fault_free()
+        servers = build_replicas(system, scenario.byzantine, rng=np.random.default_rng(0), **replicas)
+        network = SynchronousNetwork(servers, scenario)
+        pool = [QuorumClient(i, system, network, b=b, max_attempts=max_attempts, rng=rng)
+                for i in range(clients)]
+        return servers, pool
+
+    return make
 
 
 @pytest.fixture

@@ -411,15 +411,6 @@ class TestUnifiedWorkloads:
 class TestLegacyWrappers:
     """The pre-facade entry points stay as thin delegating paths."""
 
-    def test_run_workload_still_works(self):
-        from repro.simulation.runner import run_workload
-
-        result = run_workload(
-            build("mgrid", side=4, b=1), b=1, num_operations=50,
-            rng=np.random.default_rng(0),
-        )
-        assert result.operations == 50
-
     def test_selector_includes_regular_systems_at_b0(self):
         from repro.analysis.selector import candidate_constructions
 

@@ -10,9 +10,15 @@ stand on:
   the Definition 3.8 LP; and
 * the worst case over all crash sets of size up to ``b`` dominates every
   individual one and grows with the budget.
+
+A parametrised test over all eight run-level entry points pins each report's
+metric sequence and directions, and that the entry points taking a result
+object refuse a wrong-shaped one.
 """
 
 from __future__ import annotations
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,19 +27,33 @@ from repro import MGrid, majority
 from repro.analysis import (
     ConformanceCheck,
     ConformanceReport,
+    adversarial_conformance,
     availability_conformance,
+    load_conformance,
     masking_conformance,
     percolation_conformance,
+    reconfig_conformance,
+    recovery_conformance,
     restricted_induced_loads,
+    service_conformance,
     worst_case_induced_load,
 )
+from repro.core import Membership, plan_events
 from repro.core.load import exact_load
 from repro.exceptions import (
     ComputationError,
     ConformanceError,
     InvalidParameterError,
 )
-from repro.simulation import run_scenario
+from repro.simulation import (
+    GreedyLoadAdversary,
+    MembershipTimeline,
+    StaleReadAdversary,
+    run_adversarial_workload,
+    run_event_workload,
+    run_reconfig_workload,
+    run_scenario,
+)
 from repro.simulation.engine import resolve_strategy
 
 
@@ -182,3 +202,112 @@ class TestAvailabilityAndMasking:
     def test_percolation_conformance_validates_inputs(self, system):
         with pytest.raises(InvalidParameterError):
             percolation_conformance(system, p=0.15, operations_per_phase=0)
+
+
+# ----------------------------------------------------------------------
+# Every entry point: the report's metric sequence and directions.
+# ----------------------------------------------------------------------
+LEMMA = [("fabricated-reads", "<="), ("stale-read-rate", "<=")]
+LOAD = [("load-envelope", "<="), ("load-worst-case", "<="), ("load-lp-lower-bound", ">=")]
+FAILURE_RATE = [("failure-rate-upper", "<="), ("failure-rate-lower", ">=")]
+
+
+@pytest.fixture(scope="module")
+def runs():
+    """One small seeded run per input shape the entry points accept."""
+    system = MGrid(5, 1)
+    adversarial = run_adversarial_workload(
+        system, b=1, policy=GreedyLoadAdversary(), num_operations=120, rounds=4,
+        rng=np.random.default_rng(3),
+    )
+    ring = system.n - (system.side - 1) ** 2
+    membership = Membership(
+        system.universe, plan_events(system.universe, [("sever", ring), ("join", ring)])
+    )
+    reconfig = run_reconfig_workload(
+        system, timeline=MembershipTimeline(membership=membership), num_operations=90,
+        policy="resolve", rng=np.random.default_rng(11),
+    )
+    event = run_event_workload(
+        system, b=1, num_clients=4, operations_per_client=10, keep_history=True,
+        rng=np.random.default_rng(5),
+    )
+    # ServiceRunResult-shaped: the attributes the live checks read.
+    service = SimpleNamespace(
+        system=system, b=1, strategy=resolve_strategy(system, None),
+        records=list(event.history), check=event.check,
+        per_server_load=event.per_server_load,
+    )
+    return SimpleNamespace(
+        system=system, adversarial=adversarial, reconfig=reconfig,
+        membership=membership, service=service,
+    )
+
+
+ENTRY_POINTS = {
+    "load": (
+        lambda r: load_conformance(r.adversarial, r.system, b=1),
+        LOAD,
+        lambda r: load_conformance(r.service, r.system),
+    ),
+    "masking": (
+        lambda r: masking_conformance(r.adversarial, b=1),
+        [*LEMMA, ("byzantine-budget", "<=")],
+        None,
+    ),
+    "service": (
+        lambda r: service_conformance(r.service),
+        [*LEMMA, ("history-safety", "<="), *LOAD],
+        lambda r: service_conformance(r.adversarial),
+    ),
+    "recovery": (
+        lambda r: recovery_conformance(
+            r.service, server_id=(0, 0), recovered_timestamp=[10**6, 0], post_result=r.service
+        ),
+        [("recovered-timestamp", ">="), ("post-restart-fabricated", "<="),
+         ("post-restart-stale-rate", "<=")],
+        lambda r: recovery_conformance(
+            r.service, server_id=(0, 0), recovered_timestamp=[1, 0], post_result=object()
+        ),
+    ),
+    "availability": (
+        lambda r: availability_conformance(0.1, r.system, p=0.1, trials=100),
+        FAILURE_RATE,
+        None,
+    ),
+    "reconfig": (
+        lambda r: reconfig_conformance(r.reconfig, r.system, r.membership),
+        [
+            (f"{metric}[e{epoch}]", direction)
+            for epoch in range(3)
+            for metric, direction in [
+                ("load-lp-lower-bound", ">="), ("load-envelope", "<="), *LEMMA
+            ]
+        ],
+        lambda r: reconfig_conformance(r.adversarial, r.system, r.membership),
+    ),
+    "adversarial": (
+        lambda r: adversarial_conformance(
+            r.system, b=1, policy=StaleReadAdversary(), num_operations=120, rounds=4
+        )[1],
+        [*LOAD, *LEMMA, ("byzantine-budget", "<=")],
+        None,
+    ),
+    "percolation": (
+        lambda r: percolation_conformance(r.system, p=0.2, phases=40, seed=2)[1],
+        FAILURE_RATE,
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_entry_point_reports_pin_metrics_and_directions(runs, entry):
+    call, expected, wrong_shape = ENTRY_POINTS[entry]
+    report = call(runs)
+    assert [(check.metric, check.direction) for check in report.checks] == expected
+    assert [check["metric"] for check in report.to_dict()["checks"]] == [m for m, _ in expected]
+    report.require()
+    if wrong_shape is not None:
+        with pytest.raises(InvalidParameterError):
+            wrong_shape(runs)

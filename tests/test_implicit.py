@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.core import bitset
 from repro.exceptions import ComputationError, StrategyError
-from repro.simulation import FaultScenario, run_event_workload, run_workload
+from repro.simulation import FaultScenario, run_event_workload, run_scenario
 from repro.simulation.engine import resolve_strategy, run_scenario
 
 SAMPLED_CONSTRUCTIONS = [
@@ -243,10 +243,10 @@ class TestEnginesAcceptImplicitSystems:
             implicit.universe, implicit.quorums(), name="sample", validate=False
         )
         kwargs = dict(b=1, num_operations=300, strategy=strategy)
-        implicit_result = run_workload(
+        implicit_result = run_scenario(
             implicit, rng=np.random.default_rng(21), **kwargs
         )
-        explicit_result = run_workload(
+        explicit_result = run_scenario(
             explicit, rng=np.random.default_rng(21), **kwargs
         )
         assert implicit_result == explicit_result

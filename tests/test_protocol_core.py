@@ -10,10 +10,14 @@ retry and the single-operation guard.
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
 from repro import SimulationError, ThresholdQuorumSystem
+from repro.exceptions import ServiceError
+from repro.service import harness, wire
 from repro.simulation.client import (
     OperationResult,
     RetryPolicy,
@@ -120,6 +124,37 @@ class TestVouchedPair:
 
     def test_b_zero_accepts_a_single_report(self):
         assert vouched_pair([INITIAL, WRITTEN], 0) == WRITTEN
+
+
+class TestDiscoverInitialPair:
+    """``discover_initial_pair`` over scripted STATUS replies (no sockets)."""
+
+    def discover(self, monkeypatch, replies):
+        async def scripted_status(host, port, payload, *, timeout):
+            assert payload == {"type": "STATUS"}
+            if isinstance(replies[port], Exception):
+                raise replies[port]
+            return replies[port]
+
+        monkeypatch.setattr(harness, "call_endpoint", scripted_status)
+        endpoints = [{"index": i, "host": "127.0.0.1", "port": i} for i in range(len(replies))]
+        return asyncio.run(harness.discover_initial_pair(endpoints, b=B))
+
+    @staticmethod
+    def status(pair):
+        return {"type": "STATUS", "value": pair.value, "ts": wire.encode_timestamp(pair.timestamp)}
+
+    def test_a_never_written_cluster_yields_the_initial_pair(self, monkeypatch):
+        assert self.discover(monkeypatch, [self.status(INITIAL)] * 5) == INITIAL
+
+    def test_a_warm_cluster_yields_its_vouched_pair(self, monkeypatch):
+        replies = [self.status(WRITTEN)] * 2 + [self.status(INITIAL)] * 3
+        assert self.discover(monkeypatch, replies) == WRITTEN
+
+    def test_none_only_when_no_pair_reaches_b_plus_one_vouches(self, monkeypatch):
+        down = ServiceError("unreachable")
+        replies = [self.status(WRITTEN), self.status(INITIAL), down, down, {"type": "STATUS"}]
+        assert self.discover(monkeypatch, replies) is None
 
 
 def test_pooled_loads_normalise_over_the_pool():

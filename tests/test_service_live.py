@@ -14,7 +14,10 @@ subprocess spawning.
 from __future__ import annotations
 
 import asyncio
+import json
 import socket
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -302,6 +305,31 @@ def test_durable_cluster_full_restart_needs_no_chaining(cluster_factory, tmp_pat
     assert {"recovered-timestamp", "post-restart-fabricated", "post-restart-stale-rate"} <= {
         c.metric for c in report.checks
     }
+
+
+def test_loadgen_on_a_warm_cluster_reports_no_false_violations(cluster_factory, tmp_path):
+    """A second ``python -m repro loadgen`` against a cluster that already
+    holds the first run's writes must not report them as fabrications: the
+    load generator discovers the cluster's register state before it starts."""
+    cluster = cluster_factory(ClusterSpec(THRESHOLD_5))
+    cluster_file = tmp_path / "cluster.json"
+    cluster.to_cluster_file(cluster_file)
+    command = [sys.executable, "-m", "repro", "loadgen", "--cluster", str(cluster_file)]
+    reports = []
+    for seed in (1, 2):
+        completed = subprocess.run(
+            [*command, "--ops", str(OPS), "--clients", "8", "--seed", str(seed), "--json"],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        reports.append(json.loads(completed.stdout))
+    warm = reports[1]
+    assert warm["service"]["initial_pair"]["ts"][0] > 0  # really started warm
+    assert warm["consistency_violations"] == 0, warm["service"]["check"]
+    assert warm["stale_reads"] == 0
+    assert warm["consistent"]
 
 
 def test_byzantine_overload_requires_explicit_opt_in():

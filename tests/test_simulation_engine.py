@@ -34,7 +34,6 @@ from repro.simulation import (
     partition_scenario,
     random_crash_scenario,
     run_scenario,
-    run_workload,
     scenario_suite,
 )
 
@@ -92,26 +91,26 @@ class TestEngineLegacyAgreement:
         scenarios = _grid_scenarios(grid_system, np.random.default_rng(0))
         assert len(scenarios) >= 3
         for scenario in scenarios:
-            vectorised = run_workload(
+            vectorised = run_scenario(
                 grid_system,
                 b=1,
                 num_operations=300,
                 scenario=scenario,
                 rng=np.random.default_rng(seed),
             )
-            sequential = run_workload(
+            sequential = run_scenario(
                 grid_system,
                 b=1,
                 num_operations=300,
                 scenario=scenario,
                 rng=np.random.default_rng(seed),
-                engine="sequential",
+                mode="sequential",
             )
             assert vectorised == sequential, scenario.name
 
     def test_agreement_under_optimal_strategy(self, grid_system):
         scenario = crash_scenario(grid_system.universe, [grid_system.universe.elements[0]])
-        vectorised = run_workload(
+        vectorised = run_scenario(
             grid_system,
             b=1,
             num_operations=200,
@@ -119,14 +118,14 @@ class TestEngineLegacyAgreement:
             strategy="optimal",
             rng=np.random.default_rng(21),
         )
-        sequential = run_workload(
+        sequential = run_scenario(
             grid_system,
             b=1,
             num_operations=200,
             scenario=scenario,
             strategy="optimal",
             rng=np.random.default_rng(21),
-            engine="sequential",
+            mode="sequential",
         )
         assert vectorised == sequential
 
@@ -139,11 +138,11 @@ class TestEngineLegacyAgreement:
         kwargs = dict(
             b=1, num_operations=300, scenario=scenario, allow_overload=True
         )
-        vectorised = run_workload(
+        vectorised = run_scenario(
             grid_system, rng=np.random.default_rng(31), **kwargs
         )
-        sequential = run_workload(
-            grid_system, rng=np.random.default_rng(31), engine="sequential", **kwargs
+        sequential = run_scenario(
+            grid_system, rng=np.random.default_rng(31), mode="sequential", **kwargs
         )
         assert vectorised == sequential
         assert vectorised.consistency_violations > 0
@@ -163,7 +162,7 @@ class TestEmpiricalLoadAccounting:
         scenario = churn_scenario(
             system.universe, [(), (0, 1)], name="half-dead"
         )
-        result = run_workload(
+        result = run_scenario(
             system,
             b=0,
             num_operations=400,
@@ -179,7 +178,7 @@ class TestEmpiricalLoadAccounting:
     def test_total_outage_reports_zero_load_and_nonzero_attempts(self):
         system = ThresholdQuorumSystem(5, 4)
         scenario = crash_scenario(system.universe, [0, 1])
-        result = run_workload(
+        result = run_scenario(
             system,
             b=0,
             num_operations=50,
@@ -192,7 +191,7 @@ class TestEmpiricalLoadAccounting:
         assert max(result.per_server_messages.values()) > 0.0
 
     def test_fault_free_per_server_load_sums_to_quorum_size(self, grid_system):
-        result = run_workload(
+        result = run_scenario(
             grid_system, b=1, num_operations=300, rng=np.random.default_rng(11)
         )
         total = sum(result.per_server_load.values())
@@ -200,7 +199,7 @@ class TestEmpiricalLoadAccounting:
 
     def test_messages_exceed_quorum_accesses(self, grid_system):
         """Writes broadcast twice, so message frequency dominates access frequency."""
-        result = run_workload(
+        result = run_scenario(
             grid_system, b=1, num_operations=300, rng=np.random.default_rng(12)
         )
         assert max(result.per_server_messages.values()) > result.empirical_load
@@ -211,7 +210,7 @@ class TestResilienceSemantics:
         f = grid_system.resilience()
         assert f >= 1
         crashed = grid_system.universe.elements[:f]
-        result = run_workload(
+        result = run_scenario(
             grid_system,
             b=1,
             num_operations=150,
@@ -226,7 +225,7 @@ class TestResilienceSemantics:
             scenario = byzantine_scenario(
                 grid_system.universe, [elements[7]], model=model
             )
-            result = run_workload(
+            result = run_scenario(
                 grid_system,
                 b=1,
                 num_operations=250,
@@ -247,14 +246,14 @@ class TestStrategyWiring:
         )
         analytic = exact_load(system).load
         assert analytic == pytest.approx(2 / 3)
-        optimal = run_workload(
+        optimal = run_scenario(
             system,
             b=0,
             num_operations=3000,
             strategy="optimal",
             rng=np.random.default_rng(15),
         )
-        uniform = run_workload(
+        uniform = run_scenario(
             system,
             b=0,
             num_operations=3000,
@@ -268,7 +267,7 @@ class TestStrategyWiring:
     def test_explicit_strategy_instance_is_used(self, grid_system):
         quorum = grid_system.quorums()[0]
         strategy = Strategy({quorum: 1.0})
-        result = run_workload(
+        result = run_scenario(
             grid_system,
             b=1,
             num_operations=100,
@@ -283,7 +282,7 @@ class TestStrategyWiring:
 
     def test_unknown_strategy_specification_rejected(self, grid_system):
         with pytest.raises(SimulationError):
-            run_workload(grid_system, b=1, num_operations=10, strategy="fastest")
+            run_scenario(grid_system, b=1, num_operations=10, strategy="fastest")
 
 
 class TestScenarioSuite:
@@ -336,7 +335,7 @@ class TestScenarioSuite:
         } <= names
         for scenario in suite:
             for strategy in ("uniform", "optimal"):
-                result = run_workload(
+                result = run_scenario(
                     grid_system,
                     b=1,
                     num_operations=60,
@@ -356,50 +355,18 @@ class TestScenarioSuite:
             FaultScenario(crashed=frozenset({"nonexistent"}))
         )
         with pytest.raises(SimulationError):
-            run_workload(grid_system, b=1, num_operations=10, scenario=scenario)
+            run_scenario(grid_system, b=1, num_operations=10, scenario=scenario)
 
     def test_overload_requires_flag(self, grid_system):
         elements = grid_system.universe.elements
         scenario = byzantine_scenario(grid_system.universe, elements[:5])
         with pytest.raises(SimulationError):
-            run_workload(grid_system, b=1, num_operations=10, scenario=scenario)
-
-
-class TestRunnerCompatibility:
-    def test_unknown_byzantine_behaviour_rejected(self, grid_system):
-        with pytest.raises(SimulationError):
-            run_workload(
-                grid_system, b=1, num_operations=10, byzantine_behaviour="confuse"
-            )
-
-    def test_workload_scenario_model_wins_over_behaviour(self, grid_system):
-        """A phased scenario's own vouching model is not overridden."""
-        elements = grid_system.universe.elements
-        scenario = byzantine_scenario(
-            grid_system.universe, elements[:6], model="equivocate"
-        )
-        direct = run_scenario(
-            grid_system,
-            b=1,
-            num_operations=200,
-            scenario=scenario,
-            allow_overload=True,
-            rng=np.random.default_rng(18),
-        )
-        via_runner = run_workload(
-            grid_system,
-            b=1,
-            num_operations=200,
-            scenario=scenario,
-            allow_overload=True,
-            rng=np.random.default_rng(18),
-        )
-        assert direct == via_runner
+            run_scenario(grid_system, b=1, num_operations=10, scenario=scenario)
 
     def test_invalid_arguments_rejected(self, grid_system):
         with pytest.raises(SimulationError):
-            run_workload(grid_system, b=1, num_operations=0)
+            run_scenario(grid_system, b=1, num_operations=0)
         with pytest.raises(SimulationError):
-            run_workload(grid_system, b=1, num_operations=10, write_fraction=1.5)
+            run_scenario(grid_system, b=1, num_operations=10, write_fraction=1.5)
         with pytest.raises(SimulationError):
             run_scenario(grid_system, b=1, num_operations=10, mode="telepathic")

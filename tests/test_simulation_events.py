@@ -29,7 +29,6 @@ from repro.simulation import (
     LinkFaults,
     OperationRecord,
     ReplicaServer,
-    ReplicatedRegister,
     RetryPolicy,
     Timestamp,
     ValueTimestampPair,
@@ -41,6 +40,7 @@ from repro.simulation import (
     run_scenario,
     slow_server_scenario,
 )
+from repro.simulation.client import pooled_loads
 from repro.simulation.messages import ReadRequest
 from repro.simulation.server import BYZANTINE_BEHAVIOURS
 
@@ -305,11 +305,10 @@ class TestZeroLatencyAgreement:
 # Real attempts accounting (the hardcoded attempts=1 regression).
 # ----------------------------------------------------------------------
 class TestAttemptsAccounting:
-    def test_attempts_accumulate_across_probes(self, rng):
+    def test_attempts_accumulate_across_probes(self, rng, deploy):
         system = ThresholdQuorumSystem(5, 4)
         scenario = FaultScenario(crashed=frozenset({0}))
-        register = ReplicatedRegister(system, b=0, scenario=scenario, rng=rng)
-        client = register.client()
+        _, (client,) = deploy(system, b=0, rng=rng, scenario=scenario)
         results = [client.write(f"v{i}") for i in range(20)]
         assert all(result.success for result in results)
         total_attempts = sum(result.attempts for result in results)
@@ -320,11 +319,10 @@ class TestAttemptsAccounting:
         # hardcoded attempts=1 would under-report this total.
         assert total_attempts > len(results)
 
-    def test_failed_operations_charge_the_full_budget(self, rng):
+    def test_failed_operations_charge_the_full_budget(self, rng, deploy):
         system = ThresholdQuorumSystem(9, 7)
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(system, b=2, scenario=scenario, rng=rng)
-        client = register.client(max_attempts=5)
+        _, (client,) = deploy(system, b=2, rng=rng, scenario=scenario, max_attempts=5)
         result = client.write("doomed")
         assert not result.success
         assert result.attempts == 5
@@ -368,18 +366,17 @@ class TestAttemptsAccounting:
 # Load-definition agreement across the protocol paths (satellite 3).
 # ----------------------------------------------------------------------
 class TestLoadAccountingAgreement:
-    def test_message_level_and_vectorised_loads_agree_under_crashes(self, rng):
+    def test_message_level_and_vectorised_loads_agree_under_crashes(self, rng, deploy):
         system = ThresholdQuorumSystem(9, 7)
         scenario = FaultScenario(crashed=frozenset({0, 1}))
-        register = ReplicatedRegister(system, b=2, scenario=scenario, rng=rng)
-        client = register.client()
+        _, (client,) = deploy(system, b=2, rng=rng, scenario=scenario)
         operations = 400
         for index in range(operations):
             if index % 2 == 0:
                 assert client.write(index).success
             else:
                 assert client.read().success
-        message_loads = register.empirical_loads()
+        message_loads, attempted_loads = pooled_loads([client], system.universe)
         # Load values are genuine access frequencies: never above 1, even
         # though crashes force extra probes (the pre-fix accounting divided
         # raw deliveries by operations and could exceed 1 here).
@@ -396,7 +393,7 @@ class TestLoadAccountingAgreement:
         )
         # Crashed servers take probes (attempted) but serve no load.
         assert message_loads[0] == 0.0
-        assert register.attempted_loads()[0] > 0.0
+        assert attempted_loads[0] > 0.0
 
     def test_event_layer_uses_the_same_definition(self, rng):
         system = ThresholdQuorumSystem(9, 7)

@@ -1,16 +1,11 @@
-"""Integration tests for the masking-quorum register protocol (client + register + runner)."""
+"""Integration tests for the masking-quorum register protocol (replicas + clients + engine)."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import MGrid, SimulationError, ThresholdQuorumSystem
-from repro.simulation import (
-    FaultInjector,
-    FaultScenario,
-    ReplicatedRegister,
-    run_workload,
-)
+from repro.simulation import FaultInjector, FaultScenario, run_scenario
 
 
 @pytest.fixture
@@ -19,75 +14,48 @@ def small_system():
     return ThresholdQuorumSystem(9, 7)
 
 
-class TestRegisterDeployment:
-    def test_rejects_too_many_byzantine_servers(self, small_system, rng):
-        scenario = FaultScenario(byzantine=frozenset({0, 1, 2}))
-        with pytest.raises(SimulationError):
-            ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
-
-    def test_overload_flag_allows_it(self, small_system, rng):
-        scenario = FaultScenario(byzantine=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(
-            small_system, b=2, scenario=scenario, rng=rng, allow_overload=True
-        )
-        assert register.scenario.num_byzantine == 3
-
-    def test_rejects_unknown_servers_in_scenario(self, small_system, rng):
-        scenario = FaultScenario(crashed=frozenset({99}))
-        with pytest.raises(SimulationError):
-            ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
-
-    def test_clients_get_unique_ids(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        assert register.client().client_id != register.client().client_id
-
-
 class TestFaultFreeProtocol:
-    def test_read_your_write(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
+    def test_read_your_write(self, small_system, rng, deploy):
+        _, (client,) = deploy(small_system, b=2, rng=rng)
         assert client.write("hello").success
         result = client.read()
         assert result.success
         assert result.value == "hello"
 
-    def test_reads_see_other_clients_writes(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        writer, reader = register.client(), register.client()
+    def test_reads_see_other_clients_writes(self, small_system, rng, deploy):
+        _, (writer, reader) = deploy(small_system, b=2, rng=rng, clients=2)
         writer.write("from-writer")
         assert reader.read().value == "from-writer"
 
-    def test_successive_writes_increase_timestamps(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
+    def test_successive_writes_increase_timestamps(self, small_system, rng, deploy):
+        _, (client,) = deploy(small_system, b=2, rng=rng)
         first = client.write("a")
         second = client.write("b")
         assert second.timestamp > first.timestamp
 
-    def test_correct_replicas_converge_on_written_quorum(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, rng=rng)
-        client = register.client()
+    def test_correct_replicas_converge_on_written_quorum(self, small_system, rng, deploy):
+        servers, (client,) = deploy(small_system, b=2, rng=rng)
         result = client.write("x")
-        pairs = register.correct_replica_pairs()
-        holders = [sid for sid, pair in pairs.items() if pair.value == "x"]
+        holders = [sid for sid, server in servers.items() if server.current_pair.value == "x"]
         assert set(result.quorum) <= set(holders)
 
-    def test_initial_read_returns_initial_value(self, small_system, rng):
-        register = ReplicatedRegister(small_system, b=2, initial_value="empty", rng=rng)
-        assert register.client().read().value == "empty"
+    def test_initial_read_returns_initial_value(self, small_system, rng, deploy):
+        _, (client,) = deploy(small_system, b=2, rng=rng, initial_value="empty")
+        assert client.read().value == "empty"
 
 
 class TestByzantineMasking:
     @pytest.mark.parametrize(
         "behaviour", ["fabricate-timestamp", "forge-on-read", "stale", "random-value"]
     )
-    def test_b_byzantine_servers_cannot_corrupt_reads(self, small_system, rng, behaviour):
+    def test_b_byzantine_servers_cannot_corrupt_reads(
+        self, small_system, rng, deploy, behaviour
+    ):
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=2)
-        register = ReplicatedRegister(
-            small_system, b=2, scenario=scenario, byzantine_behaviour=behaviour, rng=rng
+        _, (client,) = deploy(
+            small_system, b=2, rng=rng, scenario=scenario, byzantine_behaviour=behaviour
         )
-        client = register.client()
         for round_index in range(5):
             value = ("v", round_index)
             client.write(value)
@@ -95,21 +63,15 @@ class TestByzantineMasking:
             assert result.success
             assert result.value == value
 
-    def test_beyond_the_bound_the_adversary_can_win(self, small_system, rng):
+    def test_beyond_the_bound_the_adversary_can_win(self, small_system, rng, deploy):
         # With 2b+1 = 5 colluding forgers, forged pairs reach the b+1
         # vouching threshold with a timestamp the writer never saw, and reads
         # return the forged value.
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=5)
-        register = ReplicatedRegister(
-            small_system,
-            b=2,
-            scenario=scenario,
-            byzantine_behaviour="forge-on-read",
-            rng=rng,
-            allow_overload=True,
+        _, (client,) = deploy(
+            small_system, b=2, rng=rng, scenario=scenario, byzantine_behaviour="forge-on-read"
         )
-        client = register.client()
         client.write("honest")
         corrupted = any(client.read().value != "honest" for _ in range(10))
         assert corrupted
@@ -117,7 +79,7 @@ class TestByzantineMasking:
     def test_workload_runner_reports_no_violations_at_the_bound(self, small_system, rng):
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=2, num_crashed=1)
-        result = run_workload(
+        result = run_scenario(
             small_system, b=2, num_operations=80, scenario=scenario, rng=rng
         )
         assert result.consistency_violations == 0
@@ -130,23 +92,22 @@ class TestCrashAvailability:
         # f = MT - 1 = 2 crashes are always survivable.
         injector = FaultInjector(small_system.universe, rng)
         scenario = injector.exact(num_byzantine=0, num_crashed=2)
-        result = run_workload(
+        result = run_scenario(
             small_system, b=2, num_operations=60, scenario=scenario, rng=rng
         )
         assert result.availability == pytest.approx(1.0)
 
-    def test_crashing_a_transversal_makes_operations_fail(self, small_system, rng):
+    def test_crashing_a_transversal_makes_operations_fail(self, small_system, rng, deploy):
         # Crashing n - k + 1 = 3 specific servers can hit every quorum; with
         # a threshold system ANY 3 crashes do.
         scenario = FaultScenario(crashed=frozenset({0, 1, 2}))
-        register = ReplicatedRegister(small_system, b=2, scenario=scenario, rng=rng)
-        client = register.client(max_attempts=5)
+        _, (client,) = deploy(small_system, b=2, rng=rng, scenario=scenario, max_attempts=5)
         assert not client.write("doomed").success
         assert not client.read().success
 
     def test_workload_under_heavy_crashes_reports_failures(self, small_system, rng):
         scenario = FaultScenario(crashed=frozenset({0, 1, 2, 3}))
-        result = run_workload(
+        result = run_scenario(
             small_system, b=2, num_operations=30, scenario=scenario, rng=rng
         )
         assert result.failed_operations == 30
@@ -156,18 +117,18 @@ class TestCrashAvailability:
 class TestEmpiricalLoad:
     def test_empirical_load_tracks_analytic_load(self, rng):
         system = MGrid(5, 1)
-        result = run_workload(system, b=1, num_operations=400, rng=rng)
+        result = run_scenario(system, b=1, num_operations=400, rng=rng)
         # The MGrid strategy is uniform over quorums, whose induced load is
         # c/n; the empirical busiest-server frequency should be close.
         assert result.empirical_load == pytest.approx(system.load(), abs=0.12)
 
     def test_per_server_loads_sum_to_expected_quorum_size(self, small_system, rng):
-        result = run_workload(small_system, b=2, num_operations=200, rng=rng)
+        result = run_scenario(small_system, b=2, num_operations=200, rng=rng)
         total = sum(result.per_server_load.values())
         assert total == pytest.approx(small_system.min_quorum_size(), rel=0.15)
 
     def test_runner_validates_arguments(self, small_system, rng):
         with pytest.raises(SimulationError):
-            run_workload(small_system, b=2, num_operations=0, rng=rng)
+            run_scenario(small_system, b=2, num_operations=0, rng=rng)
         with pytest.raises(SimulationError):
-            run_workload(small_system, b=2, num_operations=10, write_fraction=1.5, rng=rng)
+            run_scenario(small_system, b=2, num_operations=10, write_fraction=1.5, rng=rng)
