@@ -17,7 +17,6 @@ from collections.abc import Iterator
 import numpy as np
 
 from repro.constructions.grid import _column_mask, _row_mask
-from repro.core import bitset
 from repro.core.quorum_system import QuorumSystem
 from repro.core.rng import ensure_rng
 from repro.core.universe import Universe
@@ -74,14 +73,6 @@ class MGrid(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    def _quorum_from(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> frozenset:
-        cells = set()
-        for row in rows:
-            cells.update((row, column) for column in range(self.side))
-        for column in columns:
-            cells.update((row, column) for row in range(self.side))
-        return frozenset(cells)
-
     def iter_quorum_masks(self) -> Iterator[int]:
         column_masks = [_column_mask(self.side, column) for column in range(self.side)]
         for rows in itertools.combinations(range(self.side), self.k):
@@ -93,10 +84,6 @@ class MGrid(QuorumSystem):
                 for column in columns:
                     mask |= column_masks[column]
                 yield mask
-
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
 
     def num_quorums(self) -> int:
         return math.comb(self.side, self.k) ** 2
@@ -116,11 +103,6 @@ class MGrid(QuorumSystem):
         for column in columns:
             mask |= _column_mask(self.side, int(column))
         return mask
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        rows = tuple(int(r) for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._quorum_from(rows, columns)
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 5.1 and 5.2).

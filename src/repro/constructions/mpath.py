@@ -105,19 +105,14 @@ class MPath(QuorumSystem):
             self._line_mask_cache = cached
         return cached
 
-    def _straight_quorum(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> frozenset:
-        return bitset.mask_to_frozenset(self._straight_mask(rows, columns), self._universe)
-
-    def _straight_mask(self, rows: tuple[int, ...], columns: tuple[int, ...]) -> int:
-        row_masks, column_masks = self._line_masks()
-        mask = 0
-        for j in rows:
-            mask |= row_masks[j]
-        for i in columns:
-            mask |= column_masks[i]
-        return mask
-
     def iter_quorum_masks(self) -> Iterator[int]:
+        """Yield the *straight-line* quorums (k rows plus k columns) as bitmasks.
+
+        This is a strict sub-family of the full M-Path quorum set (any
+        collection of disjoint lattice paths would do), but it is the family
+        the load-optimal strategy of Proposition 7.2 draws from, and it is
+        the family the simulator uses.
+        """
         row_masks, column_masks = self._line_masks()
         indices = range(1, self.side + 1)
         for rows in itertools.combinations(indices, self.k):
@@ -130,45 +125,34 @@ class MPath(QuorumSystem):
                     mask |= column_masks[i]
                 yield mask
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        """Yield the *straight-line* quorums (k rows plus k columns).
-
-        This is a strict sub-family of the full M-Path quorum set (any
-        collection of disjoint lattice paths would do), but it is the family
-        the load-optimal strategy of Proposition 7.2 draws from, and it is
-        the family the simulator uses.
-        """
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def straight_line_subsystem(self, *, limit: int = 200_000) -> ExplicitQuorumSystem:
         """Return the straight-line quorums as an explicit quorum system."""
-        quorums = []
-        for index, quorum in enumerate(self.iter_quorums()):
-            if index >= limit:
-                raise ComputationError(
-                    f"more than {limit} straight-line quorums; raise the limit explicitly"
-                )
-            quorums.append(quorum)
+        if math.comb(self.side, self.k) ** 2 > limit:
+            raise ComputationError(
+                f"more than {limit} straight-line quorums; raise the limit explicitly"
+            )
         return ExplicitQuorumSystem(
-            self._universe, quorums, name=f"{self.name} (straight lines)", validate=False
+            self._universe,
+            self.iter_quorums(),
+            name=f"{self.name} (straight lines)",
+            validate=False,
         )
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        """Draw a straight-line quorum (Proposition 7.2's strategy) as a bitmask."""
-        rows = tuple(int(r) + 1 for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) + 1 for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._straight_mask(rows, columns)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        """Sample a straight-line quorum: k uniform rows and k uniform columns.
+        """Draw a straight-line quorum, k uniform rows and k uniform columns, as a bitmask.
 
         This is exactly the strategy used in the proof of Proposition 7.2 and
         it realises the optimal load ``2k/side``.
         """
-        rows = tuple(int(r) + 1 for r in rng.choice(self.side, size=self.k, replace=False))
-        columns = tuple(int(c) + 1 for c in rng.choice(self.side, size=self.k, replace=False))
-        return self._straight_quorum(rows, columns)
+        rows = rng.choice(self.side, size=self.k, replace=False)
+        columns = rng.choice(self.side, size=self.k, replace=False)
+        row_masks, column_masks = self._line_masks()
+        mask = 0
+        for j in rows:
+            mask |= row_masks[int(j) + 1]
+        for i in columns:
+            mask |= column_masks[int(i) + 1]
+        return mask
 
     # ------------------------------------------------------------------
     # Analytic measures (Propositions 7.1 and 7.2).

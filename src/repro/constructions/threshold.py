@@ -23,7 +23,6 @@ from collections.abc import Iterator
 import numpy as np
 from scipy import stats
 
-from repro.core import bitset
 from repro.core.quorum_system import QuorumSystem
 from repro.core.universe import Universe
 from repro.exceptions import ConstructionError, InvalidParameterError
@@ -80,24 +79,15 @@ class ThresholdQuorumSystem(QuorumSystem):
                 mask |= 1 << index
             yield mask
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        for mask in self.iter_quorum_masks():
-            yield bitset.mask_to_frozenset(mask, self._universe)
-
     def num_quorums(self) -> int:
         return math.comb(self._n, self.k)
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
         """Draw ``k`` uniform servers directly as a bitmask (no enumeration)."""
-        members = rng.choice(self._n, size=self.k, replace=False)
         mask = 0
-        for member in members:
-            mask |= 1 << int(member)
+        for member in rng.choice(self._n, size=self.k, replace=False).tolist():
+            mask |= 1 << member
         return mask
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        members = rng.choice(self._n, size=self.k, replace=False)
-        return frozenset(int(member) for member in members)
 
     def sample_quorum_avoiding(
         self,

@@ -13,9 +13,9 @@ of them), and a whole quorum list becomes either
 :class:`BitsetEngine` bundles both encodings with the quorum/element incidence
 matrix, built **once per system** and cached; all the measure computations in
 :mod:`repro.core` (load LP assembly, exact and Monte-Carlo availability,
-masking verification, transversal search) go through it.  The frozenset API
-of :class:`~repro.core.quorum_system.QuorumSystem` remains the public surface
-— the engine is the representation underneath it.
+masking verification, transversal search) go through it.  Bitmasks are the
+only quorum representation constructions write; the frozenset views of
+:class:`~repro.core.quorum_system.QuorumSystem` are derived from them.
 
 Paper notation for the quantities computed here is catalogued in
 ``docs/notation.md``.
@@ -68,8 +68,18 @@ def iter_bit_indices(mask: int) -> Iterator[int]:
 
 
 def mask_to_frozenset(mask: int, universe: Universe) -> frozenset:
-    """Return the universe elements whose bits are set in ``mask``."""
-    return frozenset(universe.element_at(index) for index in iter_bit_indices(mask))
+    """Return the universe elements whose bits are set in ``mask``.
+
+    Elements are added in increasing bit order; the bit loop is inlined
+    because the frozenset views of every quorum sampler go through here.
+    """
+    elements = universe.elements
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(elements[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(members)
 
 
 def pack_masks(masks: Sequence[int], n: int) -> np.ndarray:
@@ -131,13 +141,6 @@ class BitsetEngine:
         self._incidence: np.ndarray | None = None
         self._incidence_int: np.ndarray | None = None
         self._sizes: np.ndarray | None = None
-
-    @classmethod
-    def from_quorums(
-        cls, universe: Universe, quorums: Iterable[Iterable[Hashable]]
-    ) -> "BitsetEngine":
-        """Build an engine from frozenset-style quorums (compatibility path)."""
-        return cls(universe, masks_of(quorums, universe))
 
     # ------------------------------------------------------------------
     # Structure.

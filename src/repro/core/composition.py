@@ -99,6 +99,10 @@ class ComposedQuorumSystem(QuorumSystem):
             cache[copy_index] = tagged
         return tagged
 
+    # Kept next to the mask enumerator on purpose: building frozensets from
+    # the cached tagged unions beats deriving them from iter_quorum_masks,
+    # which makes the exact load of boostFPP(q=3, b=1) (8,125 quorums) about
+    # 25% slower.
     def iter_quorums(self) -> Iterator[frozenset]:
         for outer_quorum in self._outer.quorums():
             members = sorted(outer_quorum, key=repr)
@@ -191,14 +195,20 @@ class ComposedQuorumSystem(QuorumSystem):
         inner_value = availability_mod.failure_probability(self._inner, p, **kwargs).value
         return availability_mod.failure_probability(self._outer, inner_value, **kwargs).value
 
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        """Sample a quorum with the product strategy of Theorem 4.7's proof."""
-        outer_quorum = self._outer.sample_quorum(rng)
-        combined: set = set()
-        for copy_index in outer_quorum:
-            inner_quorum = self._inner.sample_quorum(rng)
-            combined |= self._tag(copy_index, inner_quorum)
-        return frozenset(combined)
+    def sample_quorum_mask(self, rng: np.random.Generator) -> int:
+        """Sample a quorum with the product strategy of Theorem 4.7's proof.
+
+        One outer quorum, then one inner quorum per copy it contains, each
+        shifted into its copy's bit range.  Copies draw in the outer
+        quorum's frozenset order.
+        """
+        outer_universe = self._outer.universe
+        inner_size = self._inner.n
+        mask = 0
+        for copy_index in self._outer.sample_quorum(rng):
+            offset = outer_universe.index_of(copy_index) * inner_size
+            mask |= self._inner.sample_quorum_mask(rng) << offset
+        return mask
 
     # ------------------------------------------------------------------
     # Conversion.

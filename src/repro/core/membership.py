@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from repro.core import bitset as bitset_mod
 from repro.core.quorum_system import (
     ExplicitQuorumSystem,
     ImplicitQuorumSystem,
@@ -298,7 +297,8 @@ class ReboundQuorumSystem(QuorumSystem):
     onto the live member set is a pure relabelling: every mask-level view
     (:meth:`iter_quorum_masks`, :meth:`sample_quorum_mask`) and every
     closed-form measure delegates to the rebuilt construction unchanged,
-    and only the frozenset views translate through the epoch's universe.
+    and only the frozenset views, which the base class derives from the
+    masks, translate through the epoch's universe.
 
     Parameters
     ----------
@@ -330,19 +330,9 @@ class ReboundQuorumSystem(QuorumSystem):
     def iter_quorum_masks(self) -> Iterator[int]:
         return self.base.iter_quorum_masks()
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        universe = self._universe
-        for mask in self.base.iter_quorum_masks():
-            yield bitset_mod.mask_to_frozenset(mask, universe)
-
     # --- sampling delegates at the mask level (labels never materialise).
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
         return self.base.sample_quorum_mask(rng)
-
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return bitset_mod.mask_to_frozenset(
-            self.base.sample_quorum_mask(rng), self._universe
-        )
 
     # --- measures are label-independent; use the base's closed forms.
     def num_quorums(self) -> int:

@@ -3,9 +3,10 @@
 Two layers are provided:
 
 * :class:`QuorumSystem` — an abstract base class.  Subclasses must expose a
-  universe and a way to iterate quorums; the base class derives every
-  combinatorial measure the paper uses (``c``, ``IS``, ``MT``, degrees,
-  fairness, resilience, masking ability) by enumeration, with caching.
+  universe and a way to iterate quorum bitmasks; the base class derives the
+  frozenset views and every combinatorial measure the paper uses (``c``,
+  ``IS``, ``MT``, degrees, fairness, resilience, masking ability) by
+  enumeration, with caching.
   Constructions in :mod:`repro.constructions` override the measures they know
   in closed form, so that large systems never need to be enumerated.
 * :class:`ExplicitQuorumSystem` — a concrete quorum system given by an
@@ -30,17 +31,18 @@ Terminology follows Table 1 of the paper:
 ``b``        number of Byzantine failures maskable by the system
 ===========  ===========================================================
 
-Underneath the frozenset API every system carries a cached bitmask engine
-(:meth:`QuorumSystem.bitset_engine`, see :mod:`repro.core.bitset`): quorums
-are ``int`` bitmasks over the universe's index order and the enumeration-based
-measures run vectorised on the bit-packed quorum list.  ``docs/notation.md``
-maps the paper's notation to the implementing functions.
+Quorums are ``int`` bitmasks over the universe's index order; the frozenset
+API is a view of them.  Every system carries a cached bitmask engine
+(:meth:`QuorumSystem.bitset_engine`, see :mod:`repro.core.bitset`) and the
+enumeration-based measures run vectorised on the bit-packed quorum list.
+``docs/notation.md`` maps the paper's notation to the implementing functions.
 """
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
-from collections.abc import Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -64,10 +66,24 @@ DEFAULT_ENUMERATION_LIMIT = 200_000
 class QuorumSystem(ABC):
     """Abstract base class for quorum systems (Definition 3.1).
 
-    Subclasses must implement :meth:`universe` and :meth:`iter_quorums`.
-    Everything else has a generic, enumeration-based default implementation
-    that constructions override with the paper's closed forms whenever these
-    are available.
+    Subclasses must implement :meth:`universe` and :meth:`iter_quorum_masks`;
+    a construction with a non-uniform access strategy also overrides
+    :meth:`sample_quorum_mask`.  The frozenset views are derived from these,
+    and everything else has a generic, enumeration-based default
+    implementation that constructions override with the paper's closed forms
+    whenever these are available.
+
+    Examples
+    --------
+    A mask-only subclass gets the frozenset views and a sampler for free:
+
+    >>> class Triangle(QuorumSystem):
+    ...     universe = Universe.of_size(3)
+    ...     def iter_quorum_masks(self): return iter((0b011, 0b110, 0b101))
+    >>> Triangle().quorums()
+    (frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2}))
+    >>> Triangle().sample_quorum(np.random.default_rng(0)) in Triangle().quorums()
+    True
     """
 
     #: Human readable name used in tables and reports.
@@ -96,46 +112,42 @@ class QuorumSystem(ABC):
         """The universe of servers the system is built over."""
 
     @abstractmethod
+    def iter_quorum_masks(self) -> Iterator[int]:
+        """Yield the quorums as ``int`` bitmasks over the universe's index order."""
+
     def iter_quorums(self) -> Iterator[frozenset]:
-        """Yield the quorums of the system as frozensets of universe elements."""
+        """Yield the quorums as frozensets, in :meth:`iter_quorum_masks` order."""
+        universe = self.universe
+        for mask in self.iter_quorum_masks():
+            yield bitset_mod.mask_to_frozenset(mask, universe)
 
     # ------------------------------------------------------------------
     # Bitmask engine (the representation the hot paths run on).
     # ------------------------------------------------------------------
-    def iter_quorum_masks(self) -> Iterator[int]:
-        """Yield the quorums as ``int`` bitmasks over the universe's index order.
-
-        The default converts :meth:`iter_quorums`; constructions override it
-        to emit masks directly (precomputed row/column/subtree masks), which
-        is both their fast path and the source the frozenset view is derived
-        from.  Whichever method a subclass overrides, both views enumerate
-        the same quorums in the same order.
-        """
-        universe = self.universe
-        for quorum in self.iter_quorums():
-            yield bitset_mod.mask_of(quorum, universe)
-
-    def quorum_masks(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[int, ...]:
-        """Return the quorum bitmasks as a tuple (cached; mirrors :meth:`quorums`)."""
+    def _collect(
+        self, cache_attr: str, enumerate_: Callable[[], Iterator], limit: int | None
+    ) -> tuple:
+        """Enumerate into a tuple cached under ``cache_attr`` (both quorum views)."""
         if not self.enumerates_all_quorums:
             raise ComputationError(
                 f"{self.name} cannot enumerate its full quorum list; "
                 "use its analytic measures or sample_quorum instead"
             )
-        cached = getattr(self, "_quorum_mask_cache", None)
+        cached = getattr(self, cache_attr, None)
         if cached is not None:
             return cached
-        collected: list[int] = []
-        for mask in self.iter_quorum_masks():
-            collected.append(mask)
-            if limit is not None and len(collected) > limit:
-                raise ComputationError(
-                    f"{self.name} has more than {limit} quorums; "
-                    "raise the limit explicitly if enumeration is really wanted"
-                )
-        mask_tuple = tuple(collected)
-        self._quorum_mask_cache = mask_tuple
-        return mask_tuple
+        result = tuple(itertools.islice(enumerate_(), None if limit is None else limit + 1))
+        if limit is not None and len(result) > limit:
+            raise ComputationError(
+                f"{self.name} has more than {limit} quorums; "
+                "raise the limit explicitly if enumeration is really wanted"
+            )
+        setattr(self, cache_attr, result)
+        return result
+
+    def quorum_masks(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[int, ...]:
+        """Return the quorum bitmasks as a tuple (cached; mirrors :meth:`quorums`)."""
+        return self._collect("_quorum_mask_cache", self.iter_quorum_masks, limit)
 
     def bitset_engine(self) -> BitsetEngine:
         """Return the system's :class:`~repro.core.bitset.BitsetEngine` (built once).
@@ -167,25 +179,7 @@ class QuorumSystem(ABC):
             If the system declares that it cannot enumerate all its quorums,
             or if the enumeration exceeds ``limit``.
         """
-        if not self.enumerates_all_quorums:
-            raise ComputationError(
-                f"{self.name} cannot enumerate its full quorum list; "
-                "use its analytic measures or sample_quorum instead"
-            )
-        cached = getattr(self, "_quorum_cache", None)
-        if cached is not None:
-            return cached
-        collected: list[frozenset] = []
-        for quorum in self.iter_quorums():
-            collected.append(quorum)
-            if limit is not None and len(collected) > limit:
-                raise ComputationError(
-                    f"{self.name} has more than {limit} quorums; "
-                    "raise the limit explicitly if enumeration is really wanted"
-                )
-        quorum_tuple = tuple(collected)
-        self._quorum_cache = quorum_tuple
-        return quorum_tuple
+        return self._collect("_quorum_cache", self.iter_quorums, limit)
 
     def num_quorums(self) -> int:
         """Return the number of quorums (by enumeration unless overridden)."""
@@ -194,11 +188,10 @@ class QuorumSystem(ABC):
     def sample_quorum(self, rng: np.random.Generator) -> frozenset:
         """Return a quorum sampled under the system's preferred access strategy.
 
-        The default strategy is uniform over the enumerated quorum list;
-        constructions override this with their load-optimal strategy.
+        The frozenset view of :meth:`sample_quorum_mask`: same draws, same
+        quorum.
         """
-        quorum_list = self.quorums()
-        return quorum_list[int(rng.integers(len(quorum_list)))]
+        return bitset_mod.mask_to_frozenset(self.sample_quorum_mask(rng), self.universe)
 
     def sample_quorum_avoiding(
         self,
@@ -228,21 +221,20 @@ class QuorumSystem(ABC):
         return quorum
 
     def sample_quorum_mask(self, rng: np.random.Generator) -> int:
-        """Draw one quorum as an ``int`` bitmask, without building the family.
+        """Draw one quorum as an ``int`` bitmask under the access strategy.
 
-        This is the *implicit sampling protocol*: a construction that can
-        draw from its access strategy directly (rows/columns, subtree
-        choices, ...) overrides this to assemble the bitmask from
-        precomputed structure masks, consuming the same random draws as
-        :meth:`sample_quorum` so the two views stay stream-compatible.  It
-        is the primitive :class:`ImplicitQuorumSystem` builds its sampled
-        support from, and the only access path that scales to universes
-        where the family itself is astronomically large.
+        This is the *implicit sampling protocol* and the only sampler hook:
+        a construction that can draw from its access strategy directly
+        (rows/columns, subtree choices, ...) overrides this to assemble the
+        bitmask from precomputed structure masks, without building the
+        family.  It is the primitive :class:`ImplicitQuorumSystem` builds its
+        sampled support from, and the only access path that scales to
+        universes where the family itself is astronomically large.
 
-        The generic implementation converts :meth:`sample_quorum`, which may
-        enumerate; constructions override one of the two.
+        The default draws uniformly from the enumerated :meth:`quorum_masks`.
         """
-        return bitset_mod.mask_of(self.sample_quorum(rng), self.universe)
+        masks = self.quorum_masks()
+        return masks[int(rng.integers(len(masks)))]
 
     # ------------------------------------------------------------------
     # Combinatorial measures (Table 1).
@@ -352,21 +344,14 @@ class QuorumSystem(ABC):
         InvalidQuorumSystemError
             On the first violated requirement.
         """
-        quorum_list = self.quorums()
-        if not quorum_list:
+        masks = self.quorum_masks()
+        if not masks:
             raise InvalidQuorumSystemError("a quorum system must contain at least one quorum")
-        universe_set = self.universe.as_frozenset()
-        for quorum in quorum_list:
-            if not quorum:
-                raise InvalidQuorumSystemError("quorums must be non-empty")
-            if not quorum <= universe_set:
-                stray = sorted(quorum - universe_set, key=repr)[:3]
-                raise InvalidQuorumSystemError(
-                    f"quorum contains elements outside the universe: {stray}"
-                )
+        if not all(masks):
+            raise InvalidQuorumSystemError("quorums must be non-empty")
         # Pairwise intersection is the expensive half of Definition 3.1; the
         # engine checks it by vectorised popcount instead of O(m^2) frozenset
-        # intersections.
+        # intersections (and refuses masks with bits outside the universe).
         if not self.bitset_engine().all_pairs_intersect():
             raise InvalidQuorumSystemError(
                 "two quorums do not intersect; this is not a quorum system"
@@ -402,7 +387,8 @@ class ExplicitQuorumSystem(QuorumSystem):
         The universe of servers, either a :class:`~repro.core.universe.Universe`
         or any iterable of hashable elements.
     quorums:
-        The quorums.  They are normalised to ``frozenset`` and deduplicated
+        The quorums, each an iterable of universe elements.  They are
+        stored as bitmasks over the universe's index order and deduplicated
         while preserving first-seen order.
     name:
         Optional human-readable name.
@@ -421,10 +407,9 @@ class ExplicitQuorumSystem(QuorumSystem):
         if not isinstance(universe, Universe):
             universe = Universe(universe)
         self._universe = universe
-        seen: dict[frozenset, None] = {}
-        for quorum in quorums:
-            seen.setdefault(frozenset(quorum), None)
-        self._quorums = tuple(seen)
+        self._masks = tuple(
+            dict.fromkeys(bitset_mod.mask_of(quorum, universe) for quorum in quorums)
+        )
         self.name = name
         if validate:
             self.validate()
@@ -433,22 +418,22 @@ class ExplicitQuorumSystem(QuorumSystem):
     def universe(self) -> Universe:
         return self._universe
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        return iter(self._quorums)
+    def iter_quorum_masks(self) -> Iterator[int]:
+        return iter(self._masks)
 
     def num_quorums(self) -> int:
-        return len(self._quorums)
+        return len(self._masks)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExplicitQuorumSystem):
             return NotImplemented
         return (
             self._universe.as_frozenset() == other._universe.as_frozenset()
-            and frozenset(self._quorums) == frozenset(other._quorums)
+            and frozenset(self.quorums(limit=None)) == frozenset(other.quorums(limit=None))
         )
 
     def __hash__(self) -> int:
-        return hash((self._universe.as_frozenset(), frozenset(self._quorums)))
+        return hash((self._universe.as_frozenset(), frozenset(self.quorums(limit=None))))
 
     def restricted_to_alive(self, crashed: Iterable[Hashable]) -> "ExplicitQuorumSystem | None":
         """Return the sub-system of quorums untouched by ``crashed`` servers.
@@ -463,7 +448,7 @@ class ExplicitQuorumSystem(QuorumSystem):
         )
         alive = [
             quorum
-            for quorum, mask in zip(self._quorums, self.quorum_masks(limit=None))
+            for quorum, mask in zip(self.quorums(limit=None), self._masks)
             if not mask & down_mask
         ]
         if not alive:
@@ -562,11 +547,6 @@ class ImplicitQuorumSystem(QuorumSystem):
         """Yield the *sampled* support masks (deduplicated, first-seen order)."""
         return iter(self._ensure_sample())
 
-    def iter_quorums(self) -> Iterator[frozenset]:
-        universe = self.universe
-        for mask in self.iter_quorum_masks():
-            yield bitset_mod.mask_to_frozenset(mask, universe)
-
     def quorum_masks(self, *, limit: int | None = DEFAULT_ENUMERATION_LIMIT) -> tuple[int, ...]:
         """Return the sampled support masks (NOT the full family; see class docs)."""
         cached = getattr(self, "_quorum_mask_cache", None)
@@ -629,9 +609,6 @@ class ImplicitQuorumSystem(QuorumSystem):
     # ------------------------------------------------------------------
     # Sampling: fresh draws always come from the base construction.
     # ------------------------------------------------------------------
-    def sample_quorum(self, rng: np.random.Generator) -> frozenset:
-        return self.base.sample_quorum(rng)
-
     def sample_quorum_avoiding(
         self,
         rng: np.random.Generator,

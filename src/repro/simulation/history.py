@@ -325,25 +325,11 @@ def check_register_history(
         last_by_client[record.client_id] = timestamp
 
     # --- real-time order and staleness via a prefix max over completions.
+    latest_completed_before = _write_floor(writes, initial.timestamp)
     completed = sorted(
         (record for record in writes if record.success),
         key=lambda item: item.responded_at,
     )
-    completion_times = [record.responded_at for record in completed]
-    prefix_max: list[Timestamp] = []
-    best = initial.timestamp
-    for record in completed:
-        if record.timestamp > best:
-            best = record.timestamp
-        prefix_max.append(best)
-
-    def latest_completed_before(time: float) -> Timestamp:
-        """Largest timestamp among successful writes completed before ``time``."""
-        index = bisect_left(completion_times, time)
-        if index == 0:
-            return initial.timestamp
-        return prefix_max[index - 1]
-
     for record in completed:
         floor = latest_completed_before(record.invoked_at)
         if not record.timestamp > floor:
@@ -538,8 +524,8 @@ def _write_floor(writes: Sequence[OperationRecord], initial_timestamp: Timestamp
     """Build the epoch-local staleness floor over completed writes.
 
     Returns a closure mapping a time to the largest timestamp among
-    successful writes that completed strictly before it (the same
-    prefix-maximum the single-epoch path uses).
+    successful writes that completed strictly before it (a prefix maximum
+    over completion-sorted writes; both checker paths use it).
     """
     completed = sorted(
         (record for record in writes if record.success),

@@ -112,7 +112,7 @@ class EventWorkloadResult(WorkloadResult):
         The concurrent-history consistency verdict
         (:class:`~repro.simulation.history.HistoryCheck`);
         ``consistency_violations`` and ``stale_reads`` of the base class are
-        its fabricated/stale counters.
+        its fabricated/stale counters, and ``is_consistent`` is its ``ok``.
     history:
         The raw operation records (populated when ``keep_history=True``).
     """
@@ -126,6 +126,15 @@ class EventWorkloadResult(WorkloadResult):
     latency_p99: float = 0.0
     check: HistoryCheck | None = None
     history: tuple = field(default_factory=tuple)
+
+    @property
+    def is_consistent(self) -> bool:
+        """Whether the history check passed (:attr:`HistoryCheck.ok`).
+
+        Stricter than the base class's fabricated-reads test: stale reads,
+        write-order violations and duplicate timestamps count too.
+        """
+        return self.check is not None and self.check.ok
 
 
 def _resolve_timing(scenario, latency, link_faults, byzantine_behaviour):

@@ -276,13 +276,9 @@ def run_trace_workload(
             f"trace has {trace.max_byzantine} Byzantine servers but the "
             f"deployment only masks b={b}; pass allow_overload=True to force it"
         )
+    timeline = FaultTimeline.static(trace.fault_state)
+    timeline.validate_against(system.universe)
     rng = ensure_rng(rng)
-    universe = system.universe
-    unknown = (trace.fault_state.byzantine | trace.fault_state.crashed) - universe.as_frozenset()
-    if unknown:
-        raise SimulationError(
-            f"trace mentions servers outside the universe: {sorted(unknown, key=repr)[:4]}"
-        )
 
     arrivals = trace.arrival_schedule(
         num_operations, rng, write_fraction=write_fraction
@@ -297,7 +293,6 @@ def run_trace_workload(
         slowest = max([1.0] + [factor for _, factor in trace.fault_state.slow])
         request_timeout = 1.0 if is_zero(scale) else 8.0 * scale * slowest
 
-    timeline = FaultTimeline.static(trace.fault_state)
     scheduler = EventScheduler()
     servers = build_replicas(
         system,
@@ -369,6 +364,7 @@ def run_trace_workload(
     check = recorder.check()
     total_operations = len(records)
     successful = [record for record in records if record.success]
+    universe = system.universe
     per_server_load, per_server_attempted = pooled_loads(clients, universe)
     per_server_messages = {
         server_id: network.attempted_counts[server_id] / max(1, total_operations)

@@ -372,6 +372,28 @@ class TestUnifiedWorkloads:
         assert agreement.vectorized.consistency_violations == 0
         assert agreement.event.consistency_violations == 0
 
+    def test_event_report_is_inconsistent_over_stale_reads(self):
+        # Stale reads fail the history check; the report must say so even
+        # though no read was fabricated.
+        from repro.simulation.events import LatencyModel
+        from repro.simulation.faults import FaultScenario
+        from repro.simulation.scenarios import TimingScenario
+
+        scenario = TimingScenario.static(
+            FaultScenario(byzantine=frozenset({0, 1, 2})),
+            latency=LatencyModel.uniform(1.0, 0.5),
+            byzantine_behaviour="stale",
+        )
+        report = run(
+            WorkloadSpec(
+                system="threshold", params={"n": 5, "b": 1}, scenario=scenario,
+                operations=160, clients=8, seed=0, allow_overload=True,
+            )
+        )
+        assert report.engine == "event"
+        assert report.consistency_violations == 0 and report.stale_reads > 0
+        assert not report.consistent
+
     def test_large_universe_switches_to_sampled_mode(self):
         report = run(
             WorkloadSpec(

@@ -1,7 +1,8 @@
 """The implicit construction layer: sample_quorum_mask + ImplicitQuorumSystem.
 
-Covers the sampling protocol's stream-compatibility with the frozenset
-samplers, the implicit system's delegation contract (true measures, sampled
+Covers the representation contract (masks are the one enumerator and
+sampler a subclass writes; the frozenset views follow them in order and
+draw for draw), the implicit system's delegation contract (true measures, sampled
 family), the strategy plumbing (Strategy.from_masks, support_strategy,
 sampled_optimal_strategy), the exact-LP budget guard, and both workload
 engines accepting implicit deployments.
@@ -13,23 +14,35 @@ import numpy as np
 import pytest
 
 from repro import (
+    BoostedFPP,
     CrumblingWall,
     ExplicitQuorumSystem,
+    FiniteProjectivePlane,
     ImplicitQuorumSystem,
     MGrid,
     MPath,
     MaskingGrid,
+    QuorumSystem,
     RecursiveThreshold,
     RegularGrid,
     Strategy,
+    TreeQuorumSystem,
     Universe,
+    WheelQuorumSystem,
     exact_load,
     masking_threshold,
 )
 from repro.core import bitset
+from repro.core.membership import Membership, plan_events
 from repro.exceptions import ComputationError, StrategyError
 from repro.simulation import FaultScenario, run_event_workload, run_scenario
 from repro.simulation.engine import resolve_strategy, run_scenario
+
+def _rebound_mgrid():
+    base = MGrid(5, 1)
+    membership = Membership(base.universe, plan_events(base.universe, [("sever", 9)]))
+    return membership.rebind(base, 1)
+
 
 SAMPLED_CONSTRUCTIONS = [
     masking_threshold(13, 3),
@@ -39,6 +52,12 @@ SAMPLED_CONSTRUCTIONS = [
     MPath(4, 1),
     CrumblingWall([3, 2, 2]),
     RecursiveThreshold(4, 3, 2),
+    TreeQuorumSystem(2),
+    WheelQuorumSystem(6),
+    FiniteProjectivePlane(3),
+    BoostedFPP(2, 1),
+    ExplicitQuorumSystem(range(5), [{0, 1, 2}, {1, 2, 3}, {2, 3, 4}, {0, 2, 4}]),
+    _rebound_mgrid(),
 ]
 
 
@@ -59,17 +78,53 @@ class TestSampleQuorumMaskProtocol:
     @pytest.mark.parametrize(
         "system", SAMPLED_CONSTRUCTIONS, ids=lambda system: system.name
     )
+    def test_frozenset_views_follow_the_masks_in_order(self, system):
+        universe = system.universe
+        expected = [bitset.mask_to_frozenset(mask, universe) for mask in system.iter_quorum_masks()]
+        assert list(system.iter_quorums()) == expected
+        if system.enumerates_all_quorums:
+            assert list(system.quorums()) == [
+                bitset.mask_to_frozenset(mask, universe) for mask in system.quorum_masks()
+            ]
+
+    @pytest.mark.parametrize(
+        "system", SAMPLED_CONSTRUCTIONS, ids=lambda system: system.name
+    )
     def test_sampled_masks_are_quorums(self, system):
         family = set(system.iter_quorum_masks())
         rng = np.random.default_rng(5)
         for _ in range(8):
             assert system.sample_quorum_mask(rng) in family
 
-    def test_generic_default_converts_sample_quorum(self):
-        explicit = ExplicitQuorumSystem(range(4), [{0, 1, 2}, {1, 2, 3}])
+    def test_generic_default_draws_uniformly_from_quorum_masks(self):
+        explicit = ExplicitQuorumSystem(range(4), [{0, 1, 2}, {1, 2, 3}, {0, 2, 3}])
+        masks = explicit.quorum_masks()
         rng = np.random.default_rng(0)
-        masks = {explicit.sample_quorum_mask(rng) for _ in range(20)}
-        assert masks <= set(explicit.iter_quorum_masks())
+        reference = np.random.default_rng(0)
+        for _ in range(20):
+            expected = masks[int(reference.integers(len(masks)))]
+            assert explicit.sample_quorum_mask(rng) == expected
+
+    def test_mask_only_subclass_gets_the_frozenset_views(self):
+        class Triangle(QuorumSystem):
+            universe = Universe(["a", "b", "c"])
+
+            def iter_quorum_masks(self):
+                return iter((0b011, 0b110, 0b101))
+
+        system = Triangle()
+        expected = [frozenset("ab"), frozenset("bc"), frozenset("ac")]
+        assert list(system.iter_quorums()) == expected
+        assert system.quorums() == tuple(expected)
+        assert system.sample_quorum(np.random.default_rng(3)) in expected
+        system.validate()
+
+    def test_subclass_without_a_mask_enumerator_cannot_be_instantiated(self):
+        class NoFamily(QuorumSystem):
+            universe = Universe(range(3))
+
+        with pytest.raises(TypeError, match="iter_quorum_masks"):
+            NoFamily()
 
 
 class TestImplicitQuorumSystem:

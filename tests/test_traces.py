@@ -190,6 +190,23 @@ class TestReplay:
         with pytest.raises(SimulationError):
             run_trace_workload(system, b=0, trace=trace, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            FaultScenario(byzantine=frozenset({99})),
+            FaultScenario(crashed=frozenset({99})),
+            FaultScenario(slow=((99, 5.0),)),
+        ],
+        ids=["byzantine", "crashed", "slow"],
+    )
+    def test_fault_state_outside_the_universe_is_refused(self, system, state):
+        trace = TraceScenario(name="x", fault_state=state)
+        with pytest.raises(SimulationError, match="outside the universe"):
+            run_trace_workload(
+                system, b=1, trace=trace, num_operations=20,
+                rng=np.random.default_rng(0), allow_overload=True,
+            )
+
     def test_replay_validates_inputs(self, system):
         trace = TraceScenario(name="x")
         with pytest.raises(SimulationError):
